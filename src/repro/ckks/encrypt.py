@@ -61,12 +61,9 @@ class Encryptor:
         ctx = self.context
         basis = ctx.basis_at(limbs)
         # Restrict the full-level public key to the requested basis.
-        pk0 = RnsPolynomial(
-            basis, self.public_key.pk0.limbs[:limbs], Representation.EVAL
-        )
-        pk1 = RnsPolynomial(
-            basis, self.public_key.pk1.limbs[:limbs], Representation.EVAL
-        )
+        rows = slice(0, limbs)
+        pk0 = self.public_key.pk0.select(rows, basis)
+        pk1 = self.public_key.pk1.select(rows, basis)
         u = RnsPolynomial.from_int_coeffs(
             ctx.sample_ternary_coeffs(), basis
         ).to_eval()

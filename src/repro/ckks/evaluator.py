@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import state as obs
 from repro.ring import (
-    Representation,
     RnsBasis,
     RnsPolynomial,
     mod_down,
@@ -252,9 +251,7 @@ class Evaluator:
         basis = RnsBasis(
             poly.basis.degree, [poly.basis.moduli[i] for i in order]
         )
-        return RnsPolynomial(
-            basis, [poly.limbs[i] for i in order], Representation.EVAL
-        )
+        return poly.select(order, basis)
 
     # ==================================================================
     # Rescale and level management
@@ -275,10 +272,9 @@ class Evaluator:
         if limbs == ct.num_limbs:
             return ct
         basis = self.context.basis_at(limbs)
+        rows = slice(0, limbs)
         return Ciphertext(
-            RnsPolynomial(basis, ct.c0.limbs[:limbs], Representation.EVAL),
-            RnsPolynomial(basis, ct.c1.limbs[:limbs], Representation.EVAL),
-            ct.scale,
+            ct.c0.select(rows, basis), ct.c1.select(rows, basis), ct.scale
         )
 
     def align_levels(
@@ -297,13 +293,9 @@ class Evaluator:
             ctx = self.context
             digits = []
             for index_range in ctx.digit_index_ranges(poly.num_limbs):
-                moduli = [poly.basis.moduli[i] for i in index_range]
-                rows = [poly.limbs[i] for i in index_range]
-                digits.append(
-                    RnsPolynomial(
-                        RnsBasis(ctx.degree, moduli), rows, poly.representation
-                    )
-                )
+                rows = slice(index_range.start, index_range.stop)
+                basis = RnsBasis(ctx.degree, poly.basis.moduli[rows])
+                digits.append(poly.select(rows, basis))
             return digits
 
     def raise_digit(
@@ -312,11 +304,11 @@ class Evaluator:
         """ModUp a digit to ``target`` (the raised basis), reordering limbs."""
         from repro.ring import mod_up
 
-        extension = [m for m in target.moduli if m not in set(digit.basis.moduli)]
+        own = set(digit.basis.moduli)
+        extension = [m for m in target.moduli if m not in own]
         raised = mod_up(digit, extension)
-        row_of = {m: row for m, row in zip(raised.basis.moduli, raised.limbs)}
-        rows = [row_of[m] for m in target.moduli]
-        return RnsPolynomial(target, rows, Representation.EVAL)
+        row_of = {m: i for i, m in enumerate(raised.basis.moduli)}
+        return raised.select([row_of[m] for m in target.moduli], target)
 
     def raise_digits(self, poly: RnsPolynomial) -> List[RnsPolynomial]:
         """Decomp + ModUp of every digit (the hoistable prefix of KeySwitch)."""

@@ -82,9 +82,8 @@ class SwitchingKey:
         Compressed keys store one polynomial per digit plus a seed; full
         keys store both polynomials.
         """
-        per_poly = sum(
-            len(row) * word_bytes for row in self.digits[0][0].limbs
-        )
+        limbs, degree = self.digits[0][0].limbs.shape
+        per_poly = limbs * degree * word_bytes
         rows = 1 if self.is_compressed else 2
         return rows * self.dnum * per_poly
 
@@ -104,22 +103,10 @@ class SwitchingKey:
         keep = list(range(live_limbs)) + list(
             range(full, full + len(context.special_moduli))
         )
-        restricted = []
-        for b_poly, a_poly in self.digits:
-            restricted.append(
-                (
-                    RnsPolynomial(
-                        basis,
-                        [b_poly.limbs[i] for i in keep],
-                        Representation.EVAL,
-                    ),
-                    RnsPolynomial(
-                        basis,
-                        [a_poly.limbs[i] for i in keep],
-                        Representation.EVAL,
-                    ),
-                )
-            )
+        restricted = [
+            (b_poly.select(keep, basis), a_poly.select(keep, basis))
+            for b_poly, a_poly in self.digits
+        ]
         self._restricted[live_limbs] = restricted
         return restricted
 

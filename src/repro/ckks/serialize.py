@@ -47,7 +47,7 @@ def params_from_dict(data: Dict) -> CkksParams:
 def _poly_to_dict(poly: RnsPolynomial) -> Dict:
     return {
         "moduli": list(poly.basis.moduli),
-        "limbs": [list(row) for row in poly.limbs],
+        "limbs": poly.limbs.tolist(),
         "representation": poly.representation.value,
     }
 

@@ -1,20 +1,25 @@
-"""Vectorized int64 compute kernels for the functional RNS-CKKS layer.
+"""Vectorized compute kernels for the functional RNS-CKKS layer.
 
-This package is the *fast path* of the exact-arithmetic stack: batched
-negacyclic NTTs and RNS basis conversion on contiguous int64 numpy
-arrays, for NTT-friendly limb moduli below ``2**30``.  The pure-Python
-object-integer implementations in :mod:`repro.numth` and
-:mod:`repro.ring` remain the *differential oracle*: the kernels are
-required to be bit-exact against them (the same contract
+This package holds every array operation of the exact-arithmetic stack.
+A ring element is one ``(L, N)`` residue matrix (:mod:`repro.kernels.rns`
+stores it and runs its pointwise algebra and automorphisms); its dtype
+selects the path.  ``int64`` matrices — every limb modulus below
+``2**30`` — run batched negacyclic NTTs and RNS basis conversion
+(:mod:`repro.kernels.ntt`, :mod:`repro.kernels.conversion`).  ``object``
+matrices of Python integers are the reference path: the ring layer runs
+the pure-Python oracles of :mod:`repro.numth` and
+:func:`repro.ring.conversion.new_limb` on them.  The int64 path is
+required to be bit-exact against the oracles (the same contract
 :mod:`repro.memsim` holds against :mod:`repro.perf`), and the ring layer
-falls back to the oracle whenever a modulus exceeds the bound or the
-fast path is disabled.
+falls back to them whenever a modulus exceeds the bound or the fast path
+is disabled.
 
 Disabling (for differential tests and A/B timing):
 
 >>> from repro import kernels
 >>> with kernels.oracle_only():
-...     ...  # every NTT/conversion runs on the pure-Python oracle
+...     ...  # new matrices are object dtype; every NTT/conversion runs
+...     ...  # on the pure-Python oracle
 
 The module-level switch is process-global, mirroring how
 :mod:`repro.obs.state` scopes its registries.
@@ -35,8 +40,22 @@ from repro.kernels.reduce import (
     moduli_fit,
     mul_mod,
     mul_mod_shoup,
+    neg_mod,
     shoup_precompute,
     sub_mod,
+)
+from repro.kernels.rns import (
+    automorph_coeff,
+    automorph_eval,
+    canonical_matrix,
+    column,
+    concat_rows,
+    crt_decode,
+    matrix,
+    reduce_coeffs,
+    residue_matrix,
+    rows_equal,
+    zeros,
 )
 
 __all__ = [
@@ -44,16 +63,28 @@ __all__ = [
     "FAST_MODULUS_BOUND",
     "SHOUP_SHIFT",
     "add_mod",
+    "automorph_coeff",
+    "automorph_eval",
+    "canonical_matrix",
+    "column",
+    "concat_rows",
+    "crt_decode",
     "enabled",
+    "matrix",
     "moduli_fit",
     "mul_mod",
     "mul_mod_shoup",
+    "neg_mod",
     "new_limbs_matrix",
     "oracle_only",
+    "reduce_coeffs",
+    "residue_matrix",
+    "rows_equal",
     "set_enabled",
     "shoup_precompute",
     "sub_mod",
     "sub_scale_mod",
+    "zeros",
 ]
 
 #: ``REPRO_KERNELS=off`` (or ``0``/``false``) starts the process on the

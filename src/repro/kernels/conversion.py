@@ -17,7 +17,7 @@ the per-coefficient work.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -26,13 +26,18 @@ from repro.kernels.reduce import mul_mod
 __all__ = ["new_limbs_matrix", "sub_scale_mod"]
 
 
+def _column(values: Any, dtype: Any = None) -> np.ndarray:
+    """Per-limb constants (a sequence or an ``(L, 1)`` column) as a column."""
+    return np.asarray(values, dtype=dtype).reshape(-1, 1)
+
+
 def new_limbs_matrix(
-    coeff_rows: Sequence[Sequence[int]],
-    moduli: Sequence[int],
-    q_hat_inverses: Sequence[int],
-    q_stars: Sequence[Sequence[int]],
-    targets: Sequence[int],
-) -> List[List[int]]:
+    coeff_rows: Any,
+    moduli: Any,
+    q_hat_inverses: Any,
+    q_stars: Any,
+    targets: Any,
+) -> np.ndarray:
     """Fast basis conversion of ``L`` source limbs into ``T`` new limbs.
 
     Implements Eq. (1) of the paper for every target modulus at once:
@@ -40,48 +45,47 @@ def new_limbs_matrix(
     modulo ``p_t``.
 
     Args:
-        coeff_rows: ``(L, N)`` residue rows in coefficient form.
-        moduli: the ``L`` source limb moduli.
+        coeff_rows: ``(L, N)`` canonical residues in coefficient form.
+        moduli: the ``L`` source limb moduli (a sequence or a column).
         q_hat_inverses: ``(Q/q_i)^{-1} mod q_i`` per source limb.
         q_stars: ``(T, L)`` matrix of ``(Q/q_i) mod p_t`` residues.
         targets: the ``T`` target moduli ``p_t``.
 
     Returns:
-        ``(T, N)`` rows of canonical residues, as plain Python ints.
+        The ``(T, N)`` int64 matrix of canonical residues.
     """
     x = np.asarray(coeff_rows, dtype=np.int64)
-    q_col = np.asarray(moduli, dtype=np.int64)[:, np.newaxis]
-    hat_inv = np.asarray(q_hat_inverses, dtype=np.int64)[:, np.newaxis]
+    q_col = _column(moduli, np.int64)
+    hat_inv = _column(q_hat_inverses, np.int64)
     stars = np.asarray(q_stars, dtype=np.int64)
-    t_col = np.asarray(targets, dtype=np.int64)[:, np.newaxis]
+    t_col = _column(targets, np.int64)
 
     # [[x]_{q_i} * Q~_i]_{q_i}: still per-source-limb residues.
     scaled = mul_mod(x, hat_inv, q_col)  # (L, N)
 
-    out = np.zeros((len(targets), x.shape[1]), dtype=np.int64)
+    out = np.zeros((t_col.shape[0], x.shape[1]), dtype=np.int64)
     for i in range(x.shape[0]):
         term = mul_mod(scaled[i][np.newaxis, :], stars[:, i][:, np.newaxis], t_col)
         out += term  # both canonical: the sum stays below 2 * p_t < 2**31
         np.subtract(out, t_col, out=out, where=out >= t_col)
-    return out.tolist()
+    return out
 
 
 def sub_scale_mod(
-    minuend_rows: Sequence[Sequence[int]],
-    subtrahend_rows: Sequence[Sequence[int]],
-    scales: Sequence[int],
-    moduli: Sequence[int],
-) -> List[List[int]]:
+    minuend_rows: Any,
+    subtrahend_rows: Any,
+    scales: Any,
+    moduli: Any,
+) -> np.ndarray:
     """Fused ModDown tail: ``(a - h) * P^{-1} mod q`` per limb, vectorized.
 
     ``a - h`` lies in ``(-q, q)`` and the per-limb scale is below ``q``,
-    so the product magnitude stays under ``2**60``; ``np.remainder``
-    matches Python ``%`` on negative operands, keeping the result equal
-    to the oracle's ``(a - h) * p_inv % q``.
+    so for int64 residues the product magnitude stays under ``2**60``;
+    ``np.remainder`` matches Python ``%`` on negative operands, keeping
+    the result equal to the oracle's ``(a - h) * p_inv % q``.  Object
+    operands (the exact reference dtype) run the same expression.
     """
-    a = np.asarray(minuend_rows, dtype=np.int64)
-    h = np.asarray(subtrahend_rows, dtype=np.int64)
-    scale_col = np.asarray(scales, dtype=np.int64)[:, np.newaxis]
-    q_col = np.asarray(moduli, dtype=np.int64)[:, np.newaxis]
-    result: List[List[int]] = np.remainder((a - h) * scale_col, q_col).tolist()
-    return result
+    a = np.asarray(minuend_rows)
+    h = np.asarray(subtrahend_rows)
+    diff = np.subtract(a, h)
+    return np.remainder(np.multiply(diff, _column(scales)), _column(moduli))

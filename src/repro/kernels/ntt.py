@@ -63,7 +63,7 @@ the repo's parallelism (sweep/serve) is process-based, which is safe.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -189,17 +189,22 @@ class BatchNttKernel:
     def num_limbs(self) -> int:
         return len(self.moduli)
 
-    def _as_matrix(self, rows: Rows) -> np.ndarray:
-        x = np.asarray(rows, dtype=np.int64)
+    def _as_matrix(self, rows: Rows, canonical: bool = False) -> np.ndarray:
+        """A fresh int64 copy of ``rows``; downstream stages mutate it freely.
+
+        Unless the caller vouches that ``rows`` are ``canonical``, they are
+        reduced (numpy remainder matches Python ``%`` sign semantics),
+        mirroring the oracle's ``c % q`` on entry.
+        """
+        x = np.array(rows, dtype=np.int64)
         if x.shape != (self.num_limbs, self.degree):
             raise ValueError(
                 f"expected a {self.num_limbs}x{self.degree} residue matrix, "
                 f"got shape {x.shape}"
             )
-        # Canonicalise (numpy remainder matches Python % sign semantics),
-        # mirroring the oracle's `c % q` on entry.  Always returns a fresh
-        # array, so downstream stages may mutate it freely.
-        return np.remainder(x, self._q_col)
+        if not canonical:
+            np.remainder(x, self._q_col, out=x)
+        return x
 
     # -- lazy building blocks ------------------------------------------
     def _mul_lazy(
@@ -341,7 +346,9 @@ class BatchNttKernel:
     def forward(self, rows: Rows) -> np.ndarray:
         """Batched forward negacyclic NTT of an ``(L, N)`` residue matrix."""
         obs.count("kernels.ntt.forward")
-        x = self._as_matrix(rows)
+        return self._forward(self._as_matrix(rows))
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         # psi twist, made canonical so the stage invariant holds on entry.
         twisted = np.empty_like(x)
         self._mul_lazy(x, self._psi, self._psi_shoup, self._q_col, twisted)
@@ -354,7 +361,9 @@ class BatchNttKernel:
     def inverse(self, rows: Rows) -> np.ndarray:
         """Batched inverse negacyclic NTT of an ``(L, N)`` residue matrix."""
         obs.count("kernels.ntt.inverse")
-        x = self._as_matrix(rows)
+        return self._inverse(self._as_matrix(rows))
+
+    def _inverse(self, x: np.ndarray) -> np.ndarray:
         lazy = self._stages(x, self._inv_tw, self._inv_tw_shoup)
         # The untwist multiply doubles as canonicalisation: the lazy Shoup
         # product of the [0, 4q) stage output is in [0, 2q), one
@@ -372,13 +381,18 @@ class BatchNttKernel:
         return self.inverse(mul_mod(ea, eb, self._q_col))
 
     # ------------------------------------------------------------------
-    # List-of-rows adapters: the boundary the (list-backed) ring layer
-    # crosses.  `.tolist()` restores plain Python ints.
+    # Ring-layer entry points: canonical residue matrices in and out.
     # ------------------------------------------------------------------
-    def forward_rows(self, rows: Sequence[Sequence[int]]) -> List[List[int]]:
-        result: List[List[int]] = self.forward(rows).tolist()
-        return result
+    def forward_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of a canonical matrix, skipping the re-reduction.
 
-    def inverse_rows(self, rows: Sequence[Sequence[int]]) -> List[List[int]]:
-        result: List[List[int]] = self.inverse(rows).tolist()
-        return result
+        ``rows`` must already hold residues in ``[0, q_i)`` (the ring
+        layer's invariant); an object matrix is converted, never shared.
+        """
+        obs.count("kernels.ntt.forward")
+        return self._forward(self._as_matrix(rows, canonical=True))
+
+    def inverse_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`inverse` of a canonical matrix, skipping the re-reduction."""
+        obs.count("kernels.ntt.inverse")
+        return self._inverse(self._as_matrix(rows, canonical=True))

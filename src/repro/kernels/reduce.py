@@ -16,6 +16,11 @@ division at transform time.  Products of two *data* vectors (pointwise
 products of evaluations) use a plain int64 multiply followed by
 ``np.remainder``, which is exact below ``2**63``.
 
+The pointwise helpers (:func:`add_mod`, :func:`sub_mod`, :func:`neg_mod`,
+:func:`mul_mod`) also accept ``object`` arrays of Python integers, the
+exact reference dtype of the ring layer (:mod:`repro.kernels.rns`); mixed
+operands promote to ``object``.
+
 Everything here returns canonical residues, which is what keeps the
 fast path bit-exact against the pure-Python oracle
 (:class:`repro.numth.ntt.NttContext`): both sides only ever materialise
@@ -37,6 +42,7 @@ __all__ = [
     "mul_mod",
     "add_mod",
     "sub_mod",
+    "neg_mod",
 ]
 
 #: Largest limb modulus (exclusive) the int64 kernels accept.  Products of
@@ -84,17 +90,38 @@ def mul_mod_shoup(
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pointwise ``a * b mod q`` for two data vectors (no precomputation)."""
-    return np.remainder(a * b, q)
+    """Pointwise ``a * b mod q`` for two data vectors (no precomputation).
+
+    Valid for int64 residues (the product stays below ``2**60``) and for
+    object arrays of Python integers alike.
+    """
+    return np.remainder(np.multiply(a, b), q)
+
+
+def _fold(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``[0, 2q) -> [0, q)`` in place: ``x = min(x, x - q)`` in uint64.
+
+    When ``x < q`` the subtraction wraps past ``2**64`` and loses the
+    min — one branchless pass instead of a division.  Object arrays
+    (exact Python integers) take ``np.remainder`` instead.
+    """
+    if x.dtype != np.int64 or q.dtype != np.int64:
+        return np.remainder(x, q)
+    xu = x.view(np.uint64)
+    np.minimum(xu, xu - q.view(np.uint64), out=xu)
+    return x
 
 
 def add_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``a + b mod q`` for canonical residues, via conditional subtraction."""
-    s = a + b
-    return np.where(s >= q, s - q, s)
+    return _fold(np.add(a, b), q)
 
 
 def sub_mod(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``a - b mod q`` for canonical residues, via conditional addition."""
-    d = a - b
-    return np.where(d < 0, d + q, d)
+    return _fold(np.add(np.subtract(a, b), q), q)
+
+
+def neg_mod(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``-a mod q`` for canonical residues (``0`` stays ``0``)."""
+    return _fold(np.subtract(q, a), q)

@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import kernels
 from repro.kernels.ntt import BatchNttKernel
@@ -16,6 +27,12 @@ _NTT_CACHE: Dict[Tuple[int, int], NttContext] = {}
 # keyed independently of RnsBasis identity so derived bases (prefixes,
 # extensions, the dropped tail of a ModDown) reuse plans too.
 _KERNEL_CACHE: Dict[Tuple[int, Tuple[int, ...]], BatchNttKernel] = {}
+
+# Conversion and CRT constants, keyed by moduli tuple for the same reason:
+# one dict of derived values per distinct limb set, shared by every equal
+# basis.  Entries that feed array kernels are keyed by path as well, since
+# their dtype follows the path (`RnsBasis.q_col`).
+_CONSTANTS: Dict[Tuple[int, ...], Dict[Hashable, Any]] = {}
 
 
 def _ntt_for(degree: int, modulus: int) -> NttContext:
@@ -58,6 +75,16 @@ class RnsBasis:
                 )
         self.degree = degree
         self.moduli: Tuple[int, ...] = tuple(moduli)
+        self._constants = _CONSTANTS.setdefault(self.moduli, {})
+        self._fits: bool = self._cached(
+            "fits", lambda: kernels.moduli_fit(self.moduli)
+        )
+
+    def _cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants[key] = build()
+        return value
 
     # ------------------------------------------------------------------
     @classmethod
@@ -96,44 +123,68 @@ class RnsBasis:
     @property
     def modulus(self) -> int:
         """The full modulus ``Q``: product of all limb moduli."""
-        product = 1
-        for q in self.moduli:
-            product *= q
-        return product
+        modulus: int = self._cached("modulus", lambda: math.prod(self.moduli))
+        return modulus
+
+    @property
+    def fast_path(self) -> bool:
+        """Whether this basis runs the int64 kernels.
+
+        True when the fast path is switched on (:func:`repro.kernels.enabled`)
+        and every limb modulus is inside the int64 bound.  Otherwise its
+        elements are object matrices and NTTs and conversions run the
+        pure-Python oracles, which are bit-exact equal by the kernels'
+        differential contract.
+        """
+        return self._fits and kernels.enabled()
+
+    @property
+    def q_col(self) -> Any:
+        """The ``(L, 1)`` modulus column; its dtype is the element dtype.
+
+        int64 on the :attr:`fast_path`, object otherwise.
+        """
+        fast = self.fast_path
+        return self._cached(
+            ("q_col", fast),
+            lambda: kernels.column(self.moduli, "int64" if fast else object),
+        )
+
+    def column(self, values: Sequence[int]) -> Any:
+        """Per-limb constants, reduced mod each ``q_i``, as a ``q_col`` column."""
+        return kernels.column(
+            [v % q for v, q in zip(values, self.moduli)], self.q_col.dtype
+        )
 
     def ntt(self, index: int) -> NttContext:
         """The NTT plan for limb ``index``."""
         return _ntt_for(self.degree, self.moduli[index])
 
-    def ntt_for_modulus(self, modulus: int) -> NttContext:
-        """The NTT plan for an arbitrary compatible modulus."""
-        return _ntt_for(self.degree, modulus)
-
     def fast_kernel(self) -> Optional[BatchNttKernel]:
-        """The batched int64 NTT kernel for this basis, if applicable.
-
-        Returns ``None`` when the fast path is switched off
-        (:func:`repro.kernels.enabled`) or any limb modulus exceeds the
-        int64 bound — callers then run the pure-Python oracle, which is
-        bit-exact equal by the kernels' differential contract.
-        """
-        if not kernels.enabled() or not kernels.moduli_fit(self.moduli):
+        """The batched int64 NTT kernel for this basis on the fast path."""
+        if not self.fast_path:
             return None
         return _kernel_for(self.degree, self.moduli)
 
-    def fast_kernel_for(
-        self, moduli: Sequence[int]
-    ) -> Optional[BatchNttKernel]:
-        """A batched kernel for an arbitrary compatible moduli tuple.
+    def ntt_forward(self, rows: Any) -> Any:
+        """Forward NTT of every row of a canonical ``(L, N)`` matrix."""
+        kernel = self.fast_kernel()
+        if kernel is not None:
+            return kernel.forward_rows(rows)
+        return kernels.canonical_matrix(
+            [self.ntt(i).forward(row) for i, row in enumerate(rows.tolist())],
+            self.q_col,
+        )
 
-        Used by basis conversion for limb sets that are not this basis
-        (a ModUp extension, a ModDown dropped tail).  Same gating as
-        :meth:`fast_kernel`.
-        """
-        mods = tuple(int(q) for q in moduli)
-        if not mods or not kernels.enabled() or not kernels.moduli_fit(mods):
-            return None
-        return _kernel_for(self.degree, mods)
+    def ntt_inverse(self, rows: Any) -> Any:
+        """Inverse NTT of every row of a canonical ``(L, N)`` matrix."""
+        kernel = self.fast_kernel()
+        if kernel is not None:
+            return kernel.inverse_rows(rows)
+        return kernels.canonical_matrix(
+            [self.ntt(i).inverse(row) for i, row in enumerate(rows.tolist())],
+            self.q_col,
+        )
 
     # ------------------------------------------------------------------
     # Derived bases
@@ -161,12 +212,65 @@ class RnsBasis:
     # ------------------------------------------------------------------
     def q_hat_inverses(self) -> List[int]:
         """``(Q/q_i)^{-1} mod q_i`` for each limb — the ``Q~_i`` of Eq. 1."""
+        return list(self._cached("q_hat_inv", self._q_hat_inverses))
+
+    def _q_hat_inverses(self) -> Tuple[int, ...]:
         total = self.modulus
-        return [
-            mod_inverse(total // q % q, q) for q in self.moduli
-        ]
+        return tuple(mod_inverse(total // q % q, q) for q in self.moduli)
 
     def q_stars_mod(self, target: int) -> List[int]:
         """``(Q/q_i) mod target`` for each limb — the ``Q*_i`` of Eq. 1."""
         total = self.modulus
-        return [total // q % target for q in self.moduli]
+        return list(
+            self._cached(
+                ("q_star", target),
+                lambda: tuple(total // q % target for q in self.moduli),
+            )
+        )
+
+    def conversion_constants(
+        self, targets: Tuple[int, ...]
+    ) -> Tuple[Any, Any, Any]:
+        """int64 ``(Q~ column, (T, L) Q* matrix, target column)`` of Eq. 1.
+
+        The constant operands of :func:`repro.kernels.new_limbs_matrix`
+        for a conversion from this basis into ``targets``; both bases
+        must be on the fast path.
+        """
+        def build() -> Tuple[Any, Any, Any]:
+            return (
+                kernels.column(self.q_hat_inverses(), "int64"),
+                kernels.matrix([self.q_stars_mod(t) for t in targets], "int64"),
+                kernels.column(targets, "int64"),
+            )
+
+        return self._cached(("conversion", targets), build)
+
+    def crt_constants(self) -> Tuple[Any, Any]:
+        """The ``(Q~ column, Q/q_i column)`` pair of CRT decoding.
+
+        ``Q~`` follows :attr:`q_col`'s dtype; ``Q/q_i`` is always exact.
+        """
+        total = self.modulus
+
+        def build() -> Tuple[Any, Any]:
+            return (
+                self.column(self.q_hat_inverses()),
+                kernels.column([total // q for q in self.moduli], object),
+            )
+
+        return self._cached(("crt", self.fast_path), build)
+
+    def p_inverse_column(self, dropped: Tuple[int, ...]) -> Any:
+        """``P^{-1} mod q_i`` per limb, as a :meth:`column`.
+
+        ``P`` is the product of the ``dropped`` moduli: the per-limb
+        scale of a ModDown from ``B ∪ dropped`` onto this basis.
+        """
+        def build() -> Any:
+            p_product = math.prod(dropped)
+            return self.column(
+                [mod_inverse(p_product % q, q) for q in self.moduli]
+            )
+
+        return self._cached(("p_inv", dropped, self.fast_path), build)

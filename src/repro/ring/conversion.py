@@ -9,16 +9,16 @@ absorbed into ciphertext noise exactly as in production FHE libraries.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from typing import Any, List, Sequence
 
 from repro import kernels
-from repro.numth.modular import mod_inverse
 from repro.ring.basis import RnsBasis
 from repro.ring.polynomial import Representation, RnsPolynomial
 
 
 def new_limb(
-    coeff_rows: Sequence[Sequence[int]],
+    coeff_rows: Any,
     source_basis: RnsBasis,
     target_modulus: int,
 ) -> List[int]:
@@ -27,7 +27,8 @@ def new_limb(
     Implements Eq. (1):  ``[x]_p = sum_i [[x]_{q_i} * Q~_i]_{q_i} * Q*_i mod p``.
 
     This is the paper's *slot-wise* operation: each output coefficient needs
-    the matching coefficient from every source limb.
+    the matching coefficient from every source limb.  It is the pure-Python
+    reference of :func:`repro.kernels.new_limbs_matrix`.
 
     Args:
         coeff_rows: one residue row per source limb, in coefficient form.
@@ -48,37 +49,31 @@ def new_limb(
     for row, q, hat_inv, star in zip(
         coeff_rows, source_basis, q_hat_inv, q_star
     ):
-        for j in range(degree):
-            out[j] += row[j] * hat_inv % q * star
+        for j, c in enumerate(map(int, row)):
+            out[j] += c * hat_inv % q * star
     return [v % target_modulus for v in out]
 
 
 def _new_limb_rows(
-    coeff_rows: Sequence[Sequence[int]],
-    source_basis: RnsBasis,
-    targets: Sequence[int],
-) -> List[List[int]]:
-    """All of ``targets``' new limbs at once, kernel-dispatched.
+    coeff_rows: Any, source_basis: RnsBasis, target_basis: RnsBasis
+) -> Any:
+    """All of ``target_basis``' new limbs at once, kernel-dispatched.
 
     The vectorized path (:func:`repro.kernels.new_limbs_matrix`) needs
-    every source *and* target modulus inside the int64 bound; otherwise
-    each target limb falls back to the pure-Python :func:`new_limb`.
-    Both produce identical canonical rows.
+    both bases on the fast path; otherwise each target limb runs the
+    pure-Python :func:`new_limb`.  Both produce identical canonical rows.
     """
-    target_list = [int(t) for t in targets]
-    if (
-        kernels.enabled()
-        and kernels.moduli_fit(source_basis.moduli)
-        and kernels.moduli_fit(target_list)
-    ):
+    if source_basis.fast_path and target_basis.fast_path:
         return kernels.new_limbs_matrix(
             coeff_rows,
-            list(source_basis.moduli),
-            source_basis.q_hat_inverses(),
-            [source_basis.q_stars_mod(t) for t in target_list],
-            target_list,
+            source_basis.q_col,
+            *source_basis.conversion_constants(target_basis.moduli),
         )
-    return [new_limb(coeff_rows, source_basis, t) for t in target_list]
+    rows = coeff_rows.tolist()
+    return kernels.canonical_matrix(
+        [new_limb(rows, source_basis, t) for t in target_basis],
+        target_basis.q_col,
+    )
 
 
 def mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
@@ -94,18 +89,14 @@ def mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
     if not extension:
         raise ValueError("extension basis must be non-empty")
     coeff = poly.to_coeff()
-    new_rows = _new_limb_rows(coeff.limbs, poly.basis, extension)
-    kernel = poly.basis.fast_kernel_for(extension)
-    if kernel is not None:
-        new_rows = kernel.forward_rows(new_rows)
-    else:
-        new_rows = [
-            poly.basis.ntt_for_modulus(p).forward(row)
-            for p, row in zip(extension, new_rows)
-        ]
-    merged = RnsBasis(poly.basis.degree, poly.basis.moduli + tuple(extension))
+    ext_basis = RnsBasis(poly.basis.degree, extension)
+    new_rows = ext_basis.ntt_forward(
+        _new_limb_rows(coeff.limbs, poly.basis, ext_basis)
+    )
     return RnsPolynomial._wrap(
-        merged, list(poly.limbs) + new_rows, Representation.EVAL
+        poly.basis.extended(extension),
+        kernels.concat_rows(poly.limbs, new_rows),
+        Representation.EVAL,
     )
 
 
@@ -125,43 +116,21 @@ def mod_down(poly: RnsPolynomial, drop: int) -> RnsPolynomial:
     keep = poly.num_limbs - drop
     target_basis = poly.basis.prefix(keep)
     dropped_basis = RnsBasis(poly.basis.degree, poly.basis.moduli[keep:])
-    p_product = dropped_basis.modulus
 
     # Line 1 (optimised): only the dropped limbs need coefficient form.
-    dropped_kernel = poly.basis.fast_kernel_for(dropped_basis.moduli)
-    if dropped_kernel is not None:
-        dropped_coeff: List[List[int]] = dropped_kernel.inverse_rows(
-            poly.limbs[keep:]
-        )
-    else:
-        dropped_coeff = [
-            poly.basis.ntt_for_modulus(q).inverse(row)
-            for row, q in zip(poly.limbs[keep:], dropped_basis)
-        ]
+    dropped_coeff = dropped_basis.ntt_inverse(poly.limbs[keep:])
 
     # Line 3: slot-wise conversion of the dropped part into every kept limb.
-    hats = _new_limb_rows(dropped_coeff, dropped_basis, target_basis.moduli)
-    target_kernel = target_basis.fast_kernel()
-    if target_kernel is not None:
-        hat_evals: List[List[int]] = target_kernel.forward_rows(hats)
-    else:
-        hat_evals = [
-            target_basis.ntt(i).forward(hat) for i, hat in enumerate(hats)
-        ]
+    hats = _new_limb_rows(dropped_coeff, dropped_basis, target_basis)
+    hat_evals = target_basis.ntt_forward(hats)
 
     # Line 4: (x - x_hat) * P^{-1} mod q, pointwise in evaluation form.
-    p_invs = [mod_inverse(p_product % q, q) for q in target_basis]
-    if kernels.enabled() and kernels.moduli_fit(target_basis.moduli):
-        rows = kernels.sub_scale_mod(
-            poly.limbs[:keep], hat_evals, p_invs, list(target_basis.moduli)
-        )
-    else:
-        rows = [
-            [(a - h) * p_inv % q for a, h in zip(row, hat_eval)]
-            for row, hat_eval, p_inv, q in zip(
-                poly.limbs, hat_evals, p_invs, target_basis
-            )
-        ]
+    rows = kernels.sub_scale_mod(
+        poly.limbs[:keep],
+        hat_evals,
+        target_basis.p_inverse_column(dropped_basis.moduli),
+        target_basis.q_col,
+    )
     return RnsPolynomial._wrap(target_basis, rows, Representation.EVAL)
 
 
@@ -186,12 +155,9 @@ def p_mod_up(poly: RnsPolynomial, extension: Sequence[int]) -> RnsPolynomial:
     """
     if not extension:
         raise ValueError("extension basis must be non-empty")
-    p_product = 1
-    for p in extension:
-        p_product *= p
-    scaled = poly.scalar_mul(p_product)
-    zero_rows = [[0] * poly.basis.degree for _ in extension]
-    merged = RnsBasis(poly.basis.degree, poly.basis.moduli + tuple(extension))
+    scaled = poly.scalar_mul(math.prod(extension))
+    merged = poly.basis.extended(extension)
+    zero_rows = kernels.zeros(len(extension), poly.basis.degree, merged.q_col)
     return RnsPolynomial._wrap(
-        merged, list(scaled.limbs) + zero_rows, poly.representation
+        merged, kernels.concat_rows(scaled.limbs, zero_rows), poly.representation
     )

@@ -1,20 +1,23 @@
 """RNS ring elements with limb-wise and slot-wise views.
 
 An :class:`RnsPolynomial` stores one element of ``R_Q = Z_Q[x]/(x^N + 1)`` as
-``l`` limbs (one residue vector per limb modulus), each either in coefficient
-or evaluation ("NTT") representation.  This mirrors exactly the data layout
-whose movement the performance model accounts for: a *limb-wise* access
-touches one whole row, a *slot-wise* access (basis conversion) touches one
-column across all rows.
+one ``(l, N)`` residue matrix (row ``i`` holds the residues modulo ``q_i``),
+either in coefficient or evaluation ("NTT") representation.  This mirrors
+exactly the data layout whose movement the performance model accounts for:
+a *limb-wise* access touches one whole row, a *slot-wise* access (basis
+conversion) touches one column across all rows.
+
+The matrix is int64 on the basis's fast path and object (exact Python
+integers) otherwise — :attr:`RnsBasis.q_col` picks it.  Every ring op below
+is one vectorized expression from :mod:`repro.kernels` valid for both.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Sequence
+from typing import Any, List, Sequence, Union
 
-from repro.numth.crt import crt_reconstruct
-from repro.numth.modular import centered_mod
+from repro import kernels
 from repro.ring.basis import RnsBasis
 
 
@@ -25,22 +28,13 @@ class Representation(enum.Enum):
     EVAL = "eval"
 
 
-def _galois_exponent_table(degree: int) -> List[int]:
-    """Exponent ``e_k`` such that forward-NTT output slot ``k`` is ``f(psi^e_k)``.
-
-    Our iterative Cooley-Tukey transform (bit-reversal first, natural-order
-    output) computes ``X[k] = sum_j a_j psi^j omega^{jk} = f(psi^{2k+1})``,
-    so slot ``k`` evaluates the polynomial at ``psi^{2k+1}``.
-    """
-    return [(2 * k + 1) % (2 * degree) for k in range(degree)]
-
-
 class RnsPolynomial:
     """One ring element in RNS form.
 
     Attributes:
         basis: the :class:`RnsBasis` the limbs live over.
-        limbs: ``len(basis)`` rows of ``basis.degree`` residues each.
+        limbs: the C-contiguous ``(len(basis), basis.degree)`` matrix of
+            canonical residues.
         representation: whether rows hold coefficients or NTT evaluations.
     """
 
@@ -49,22 +43,20 @@ class RnsPolynomial:
     def __init__(
         self,
         basis: RnsBasis,
-        limbs: Sequence[Sequence[int]],
+        limbs: Any,
         representation: Representation,
     ):
         if len(limbs) != len(basis):
             raise ValueError(
                 f"expected {len(basis)} limbs, got {len(limbs)}"
             )
-        for row, q in zip(limbs, basis):
+        for row in limbs:
             if len(row) != basis.degree:
                 raise ValueError(
                     f"limb length {len(row)} does not match degree {basis.degree}"
                 )
         self.basis = basis
-        self.limbs: List[List[int]] = [
-            [c % q for c in row] for row, q in zip(limbs, basis)
-        ]
+        self.limbs = kernels.residue_matrix(limbs, basis.q_col)
         self.representation = representation
 
     # ------------------------------------------------------------------
@@ -74,20 +66,21 @@ class RnsPolynomial:
     def _wrap(
         cls,
         basis: RnsBasis,
-        rows: List[List[int]],
+        rows: Any,
         representation: Representation,
     ) -> "RnsPolynomial":
-        """Trusted constructor for rows that are already canonical.
+        """Trusted constructor for a matrix that is already canonical.
 
-        Internal call sites (NTT outputs, ``_zip_with`` results, kernel
-        rows) always produce residues in ``[0, q)`` with the right
-        shape, so the public constructor's per-coefficient ``% q``
-        normalisation pass would be pure overhead.  The wrapped object
-        takes ownership of ``rows``.
+        Internal call sites (NTT outputs, kernel results, row selections)
+        always produce residues in ``[0, q)`` with the right shape, so the
+        public constructor's reduction pass would be pure overhead.  Only
+        the dtype is brought to the basis's (:attr:`RnsBasis.q_col`): mixed
+        operands promote to object, and a basis change can cross the int64
+        bound.  The wrapped object takes ownership of ``rows``.
         """
         poly = cls.__new__(cls)
         poly.basis = basis
-        poly.limbs = rows
+        poly.limbs = kernels.canonical_matrix(rows, basis.q_col)
         poly.representation = representation
         return poly
 
@@ -95,7 +88,7 @@ class RnsPolynomial:
     def zero(
         cls, basis: RnsBasis, representation: Representation = Representation.EVAL
     ) -> "RnsPolynomial":
-        rows = [[0] * basis.degree for _ in basis]
+        rows = kernels.zeros(len(basis), basis.degree, basis.q_col)
         return cls._wrap(basis, rows, representation)
 
     @classmethod
@@ -107,12 +100,34 @@ class RnsPolynomial:
             raise ValueError(
                 f"expected {basis.degree} coefficients, got {len(coeffs)}"
             )
-        rows = [[c % q for c in coeffs] for q in basis]
+        rows = kernels.reduce_coeffs(coeffs, basis.q_col)
         return cls._wrap(basis, rows, Representation.COEFF)
 
     def clone(self) -> "RnsPolynomial":
         return RnsPolynomial._wrap(
-            self.basis, [row[:] for row in self.limbs], self.representation
+            self.basis, self.limbs.copy(), self.representation
+        )
+
+    def select(
+        self, rows: Union[slice, Sequence[int]], basis: RnsBasis
+    ) -> "RnsPolynomial":
+        """The limbs ``rows`` (a slice or index list) as an element of ``basis``.
+
+        Residues are independent per modulus in both representations, so
+        dropping, reordering or restricting limbs is row selection.
+        ``basis`` must list exactly the selected limbs' moduli, in order.
+        The result owns a copy of its rows.
+        """
+        if isinstance(rows, slice):
+            moduli = self.basis.moduli[rows]
+        else:
+            moduli = tuple(self.basis.moduli[i] for i in rows)
+        if moduli != basis.moduli:
+            raise ValueError(
+                f"selected limbs {moduli} do not match the basis {basis.moduli}"
+            )
+        return RnsPolynomial._wrap(
+            basis, self.limbs[rows].copy(), self.representation
         )
 
     # ------------------------------------------------------------------
@@ -120,14 +135,15 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     @property
     def num_limbs(self) -> int:
-        return len(self.limbs)
+        num: int = self.limbs.shape[0]
+        return num
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RnsPolynomial)
             and self.basis == other.basis
             and self.representation == other.representation
-            and self.limbs == other.limbs
+            and kernels.rows_equal(self.limbs, other.limbs)
         )
 
     def __repr__(self) -> str:
@@ -137,15 +153,17 @@ class RnsPolynomial:
         )
 
     def to_int_coeffs(self, centered: bool = True) -> List[int]:
-        """CRT-reconstruct the integer coefficient vector (coeff form only)."""
+        """CRT-reconstruct the integer coefficient vector (coeff form only).
+
+        One exact pass over the whole matrix; with ``centered`` the values
+        lie in ``(-Q/2, Q/2]``.
+        """
         poly = self.to_coeff()
-        moduli = list(poly.basis.moduli)
-        total = poly.basis.modulus
-        out = []
-        for j in range(poly.basis.degree):
-            value = crt_reconstruct([row[j] for row in poly.limbs], moduli)
-            out.append(centered_mod(value, total) if centered else value)
-        return out
+        basis = poly.basis
+        hat_inv, hat = basis.crt_constants()
+        return kernels.crt_decode(
+            poly.limbs, basis.q_col, hat_inv, hat, basis.modulus, centered
+        )
 
     # ------------------------------------------------------------------
     # Representation changes
@@ -153,20 +171,12 @@ class RnsPolynomial:
     def to_eval(self) -> "RnsPolynomial":
         """Return this element in evaluation form (l limb-wise NTTs).
 
-        Runs the batched int64 kernel when the basis supports it
-        (:meth:`RnsBasis.fast_kernel`), the pure-Python oracle
-        otherwise; both produce bit-identical rows.
+        Runs the batched int64 kernel on the basis's fast path, the
+        pure-Python oracle otherwise; both produce bit-identical rows.
         """
         if self.representation is Representation.EVAL:
             return self
-        kernel = self.basis.fast_kernel()
-        if kernel is not None:
-            rows = kernel.forward_rows(self.limbs)
-        else:
-            rows = [
-                self.basis.ntt(i).forward(row)
-                for i, row in enumerate(self.limbs)
-            ]
+        rows = self.basis.ntt_forward(self.limbs)
         return RnsPolynomial._wrap(self.basis, rows, Representation.EVAL)
 
     def to_coeff(self) -> "RnsPolynomial":
@@ -176,22 +186,13 @@ class RnsPolynomial:
         """
         if self.representation is Representation.COEFF:
             return self
-        kernel = self.basis.fast_kernel()
-        if kernel is not None:
-            rows = kernel.inverse_rows(self.limbs)
-        else:
-            rows = [
-                self.basis.ntt(i).inverse(row)
-                for i, row in enumerate(self.limbs)
-            ]
+        rows = self.basis.ntt_inverse(self.limbs)
         return RnsPolynomial._wrap(self.basis, rows, Representation.COEFF)
 
     # ------------------------------------------------------------------
     # Arithmetic (limb-wise)
     # ------------------------------------------------------------------
-    def _zip_with(
-        self, other: "RnsPolynomial", op: Callable[[int, int, int], int]
-    ) -> "RnsPolynomial":
+    def _check_operand(self, other: "RnsPolynomial") -> None:
         if self.basis != other.basis:
             raise ValueError("operands live over different bases")
         if self.representation is not other.representation:
@@ -199,35 +200,37 @@ class RnsPolynomial:
                 f"representation mismatch: {self.representation} vs "
                 f"{other.representation}"
             )
-        rows = [
-            [op(a, b, q) for a, b in zip(ra, rb)]
-            for ra, rb, q in zip(self.limbs, other.limbs, self.basis)
-        ]
+
+    def _like(self, rows: Any) -> "RnsPolynomial":
         return RnsPolynomial._wrap(self.basis, rows, self.representation)
 
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        return self._zip_with(other, lambda a, b, q: (a + b) % q)
+        self._check_operand(other)
+        return self._like(
+            kernels.add_mod(self.limbs, other.limbs, self.basis.q_col)
+        )
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        return self._zip_with(other, lambda a, b, q: (a - b) % q)
+        self._check_operand(other)
+        return self._like(
+            kernels.sub_mod(self.limbs, other.limbs, self.basis.q_col)
+        )
 
     def __neg__(self) -> "RnsPolynomial":
-        rows = [[(-a) % q for a in row] for row, q in zip(self.limbs, self.basis)]
-        return RnsPolynomial._wrap(self.basis, rows, self.representation)
+        return self._like(kernels.neg_mod(self.limbs, self.basis.q_col))
 
     def __mul__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Ring multiplication; both operands must be in evaluation form."""
         if self.representation is not Representation.EVAL:
             raise ValueError("ring multiplication requires evaluation form")
-        return self._zip_with(other, lambda a, b, q: a * b % q)
+        self._check_operand(other)
+        return self._like(
+            kernels.mul_mod(self.limbs, other.limbs, self.basis.q_col)
+        )
 
     def scalar_mul(self, scalar: int) -> "RnsPolynomial":
         """Multiply by an integer scalar (valid in either representation)."""
-        rows = [
-            [a * (scalar % q) % q for a in row]
-            for row, q in zip(self.limbs, self.basis)
-        ]
-        return RnsPolynomial._wrap(self.basis, rows, self.representation)
+        return self._scaled([scalar] * self.num_limbs)
 
     def limb_scalar_mul(self, scalars: Sequence[int]) -> "RnsPolynomial":
         """Multiply limb ``i`` by ``scalars[i]`` (per-limb constants)."""
@@ -235,11 +238,13 @@ class RnsPolynomial:
             raise ValueError(
                 f"expected {self.num_limbs} scalars, got {len(scalars)}"
             )
-        rows = [
-            [a * (s % q) % q for a in row]
-            for row, s, q in zip(self.limbs, scalars, self.basis)
-        ]
-        return RnsPolynomial._wrap(self.basis, rows, self.representation)
+        return self._scaled(scalars)
+
+    def _scaled(self, scalars: Sequence[int]) -> "RnsPolynomial":
+        column = self.basis.column(scalars)
+        return self._like(
+            kernels.mul_mod(self.limbs, column, self.basis.q_col)
+        )
 
     # ------------------------------------------------------------------
     # Galois automorphisms
@@ -252,35 +257,11 @@ class RnsPolynomial:
         permutation of the evaluation points — which is why the paper's
         ``Automorph`` sub-operation costs zero modular operations.
         """
-        two_n = 2 * self.basis.degree
-        t = t % two_n
+        t = t % (2 * self.basis.degree)
         if t % 2 == 0:
             raise ValueError(f"automorphism index must be odd, got {t}")
         if self.representation is Representation.COEFF:
-            return self._automorph_coeff(t)
-        return self._automorph_eval(t)
-
-    def _automorph_coeff(self, t: int) -> "RnsPolynomial":
-        n = self.basis.degree
-        two_n = 2 * n
-        rows = []
-        for row, q in zip(self.limbs, self.basis):
-            out = [0] * n
-            for j, a in enumerate(row):
-                e = j * t % two_n
-                if e < n:
-                    out[e] = (out[e] + a) % q
-                else:
-                    out[e - n] = (out[e - n] - a) % q
-            rows.append(out)
-        return RnsPolynomial._wrap(self.basis, rows, Representation.COEFF)
-
-    def _automorph_eval(self, t: int) -> "RnsPolynomial":
-        n = self.basis.degree
-        two_n = 2 * n
-        exps = _galois_exponent_table(n)
-        index_of_exp = {e: k for k, e in enumerate(exps)}
-        # Slot k of the output evaluates f at psi^{e_k * t}.
-        source = [index_of_exp[exps[k] * t % two_n] for k in range(n)]
-        rows = [[row[s] for s in source] for row in self.limbs]
-        return RnsPolynomial._wrap(self.basis, rows, Representation.EVAL)
+            rows = kernels.automorph_coeff(self.limbs, t, self.basis.q_col)
+        else:
+            rows = kernels.automorph_eval(self.limbs, t)
+        return self._like(rows)

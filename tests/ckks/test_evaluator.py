@@ -306,8 +306,8 @@ class TestKeySwitchInternals:
     def test_decompose_preserves_rows(self, encryptor, evaluator, z1):
         ct = encryptor.encrypt_values(z1)
         digits = evaluator.decompose(ct.c1)
-        reassembled = [row for digit in digits for row in digit.limbs]
-        assert reassembled == list(ct.c1.limbs)
+        reassembled = [row for digit in digits for row in digit.limbs.tolist()]
+        assert reassembled == ct.c1.limbs.tolist()
 
     def test_raised_digits_live_over_raised_basis(self, ctx, encryptor, evaluator, z1):
         ct = encryptor.encrypt_values(z1, limbs=4)

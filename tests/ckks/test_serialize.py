@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,31 @@ class TestSwitchingKeyRoundTrip:
         kg = KeyGenerator(context, compress_keys=False)
         with pytest.raises(ValueError):
             switching_key_to_dict(kg.relinearization_key(), compressed=True)
+
+
+class TestPlainIntegerPayloads:
+    """Serialized residues are plain ints: no numpy scalar leaks into JSON."""
+
+    @staticmethod
+    def _assert_plain(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                TestPlainIntegerPayloads._assert_plain(value)
+        elif isinstance(node, list):
+            for value in node:
+                TestPlainIntegerPayloads._assert_plain(value)
+        else:
+            assert type(node) in (int, float, str, bool), type(node)
+
+    def test_ciphertext_payload(self, ctx, encryptor):
+        payload = ciphertext_to_dict(encryptor.encrypt_values([0.25] * 8))
+        self._assert_plain(payload)
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_switching_key_payloads(self):
+        context = CkksContext(toy_params(), seed=41)
+        key = KeyGenerator(context).relinearization_key()
+        for compressed in (True, False):
+            payload = switching_key_to_dict(key, compressed=compressed)
+            self._assert_plain(payload)
+            assert json.loads(json.dumps(payload)) == payload

@@ -40,7 +40,7 @@ class TestNewLimbsMatrix:
             [basis.q_stars_mod(t) for t in targets],
             targets,
         )
-        assert got == [new_limb(rows, basis, t) for t in targets]
+        assert got.tolist() == [new_limb(rows, basis, t) for t in targets]
 
     def test_deep_basis_accumulator_stays_exact(self):
         # Twelve maximal source limbs: the per-limb canonical reduction is
@@ -57,7 +57,7 @@ class TestNewLimbsMatrix:
             [basis.q_stars_mod(target)],
             [target],
         )
-        assert got == [new_limb(rows, basis, target)]
+        assert got.tolist() == [new_limb(rows, basis, target)]
 
 
 class TestSubScaleMod:
@@ -75,7 +75,7 @@ class TestSubScaleMod:
         rng = random.Random(seed + 2)
         scales = [rng.randrange(1, q) for q in primes]
         got = sub_scale_mod(a, h, scales, primes)
-        assert got == [
+        assert got.tolist() == [
             [(x - y) * s % q for x, y in zip(ra, rh)]
             for ra, rh, s, q in zip(a, h, scales, primes)
         ]

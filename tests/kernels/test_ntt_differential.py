@@ -142,15 +142,18 @@ class TestBatchedVsSingle:
                 == [batched.inverse(rows)[i].tolist()]
             )
 
-    def test_rows_adapters_return_plain_ints(self):
+    def test_rows_entry_points_take_and_return_int64_matrices(self):
         degree = 32
         primes = find_ntt_primes(30, degree, 2)
         kernel = BatchNttKernel(degree, primes)
-        rows = _random_rows(primes, degree, seed=3)
+        rows = np.asarray(_random_rows(primes, degree, seed=3), dtype=np.int64)
         out = kernel.forward_rows(rows)
-        assert isinstance(out, list)
-        assert all(type(v) is int for v in out[0])
-        assert kernel.inverse_rows(out) == rows
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+        assert np.array_equal(out, kernel.forward(rows))
+        assert np.array_equal(kernel.inverse_rows(out), rows)
+        # An object matrix (the reference dtype) is accepted and copied.
+        back = kernel.inverse_rows(out.astype(object))
+        assert back.dtype == np.int64 and np.array_equal(back, rows)
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,7 +129,7 @@ class TestArithmetic:
         scalars = [3, 5, 7]
         result = pa.limb_scalar_mul(scalars)
         for row, orig, s, q in zip(result.limbs, pa.limbs, scalars, basis):
-            assert row == [a * s % q for a in orig]
+            assert row.tolist() == [a * s % q for a in orig]
 
     def test_limb_scalar_mul_length_checked(self, basis):
         _, pa = _random_poly(basis, seed=17)
@@ -191,3 +192,43 @@ class TestAutomorphism:
         _, pb = _random_poly(basis, seed=26, bound=50)
         ea, eb = pa.to_eval(), pb.to_eval()
         assert (ea * eb).automorph(7) == ea.automorph(7) * eb.automorph(7)
+
+
+class TestCrtDecode:
+    """The vectorized decode agrees with the scalar CRT oracle."""
+
+    def test_centering_boundary_matches_scalar_oracle(self, basis):
+        from repro.numth.crt import crt_reconstruct
+        from repro.numth.modular import centered_mod
+
+        total = basis.modulus
+        half = total // 2  # Q is odd: the centered range is [-half, half]
+        edges = [half, half + 1, half - 1, -half, -half - 1, total - 1, 0, 1]
+        coeffs = edges + [(-1) ** k * (half - k) for k in range(8)]
+        poly = RnsPolynomial.from_int_coeffs(coeffs, basis)
+        columns = zip(*poly.limbs.tolist())
+        expected = [
+            centered_mod(crt_reconstruct(list(col), list(basis.moduli)), total)
+            for col in columns
+        ]
+        assert poly.to_int_coeffs() == expected
+        assert expected[:2] == [half, -half]
+        assert poly.to_int_coeffs(centered=False) == [c % total for c in coeffs]
+
+
+class TestLargeCoefficients:
+    """Coefficients beyond int64 reduce exactly (large-scale plaintexts)."""
+
+    def test_coefficients_at_and_above_2_63(self, basis):
+        big = [2**63, -(2**63) - 1, 2**100 + 7, -(2**200)]
+        coeffs = big + [2**63 - 1, -(2**63)] + list(range(10))
+        poly = RnsPolynomial.from_int_coeffs(coeffs, basis)
+        assert poly.limbs.dtype == np.int64
+        for row, q in zip(poly.limbs.tolist(), basis):
+            assert row == [c % q for c in coeffs]
+
+    def test_int64_boundary_takes_one_remainder(self, basis):
+        coeffs = [2**63 - 1, -(2**63)] + [0] * 14
+        poly = RnsPolynomial.from_int_coeffs(np.array(coeffs), basis)
+        for row, q in zip(poly.limbs.tolist(), basis):
+            assert row == [c % q for c in coeffs]

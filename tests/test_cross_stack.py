@@ -32,13 +32,17 @@ def ntt_counter(monkeypatch):
     Both engines are instrumented in the same unit — one transformed
     limb — so the closed forms hold whichever path the ring layer picks:
     the pure-Python oracle does one call per limb, the batched int64
-    kernel one call per basis (counted at ``num_limbs`` passes).
+    kernel one call per basis (counted at ``num_limbs`` passes) through
+    either its public ``forward``/``inverse`` or the ring layer's
+    ``forward_rows``/``inverse_rows`` entry points.
     """
     counts = {"forward": 0, "inverse": 0}
     original_forward = NttContext.forward
     original_inverse = NttContext.inverse
-    kernel_forward = BatchNttKernel.forward
-    kernel_inverse = BatchNttKernel.inverse
+    kernel_entry_points = {
+        name: getattr(BatchNttKernel, name)
+        for name in ("forward", "inverse", "forward_rows", "inverse_rows")
+    }
 
     def counting_forward(self, coeffs):
         counts["forward"] += 1
@@ -48,18 +52,20 @@ def ntt_counter(monkeypatch):
         counts["inverse"] += 1
         return original_inverse(self, evals)
 
-    def counting_kernel_forward(self, rows):
-        counts["forward"] += self.num_limbs
-        return kernel_forward(self, rows)
+    def counting_kernel(name):
+        original = kernel_entry_points[name]
+        direction = "forward" if name.startswith("forward") else "inverse"
 
-    def counting_kernel_inverse(self, rows):
-        counts["inverse"] += self.num_limbs
-        return kernel_inverse(self, rows)
+        def counting(self, rows):
+            counts[direction] += self.num_limbs
+            return original(self, rows)
+
+        return counting
 
     monkeypatch.setattr(NttContext, "forward", counting_forward)
     monkeypatch.setattr(NttContext, "inverse", counting_inverse)
-    monkeypatch.setattr(BatchNttKernel, "forward", counting_kernel_forward)
-    monkeypatch.setattr(BatchNttKernel, "inverse", counting_kernel_inverse)
+    for name in kernel_entry_points:
+        monkeypatch.setattr(BatchNttKernel, name, counting_kernel(name))
     try:
         yield counts
     finally:
