@@ -26,8 +26,57 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import schemas
+
 #: Schema id stamped on (and required of) every kernels check report.
 KERNELS_REPORT_SCHEMA = "repro.kernels/v1"
+
+#: JSON-Schema (draft-07) of a check report.
+KERNELS_REPORT_JSON_SCHEMA: Dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": KERNELS_REPORT_SCHEMA,
+    "title": "repro.kernels parity/speedup check report",
+    "type": "object",
+    "required": ["schema", "passed", "results"],
+    "properties": {
+        "schema": {"const": KERNELS_REPORT_SCHEMA},
+        "seed": {"type": "integer"},
+        "min_speedup": {"type": ["number", "null"]},
+        "passed": {"type": "boolean"},
+        "results": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["degree", "limbs", "parity"],
+                "properties": {
+                    "degree": {"type": "integer", "minimum": 1},
+                    "limbs": {"type": "integer", "minimum": 1},
+                    "parity": {"type": "boolean"},
+                },
+            },
+        },
+        "runtime": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": [
+                    "degree",
+                    "oracle_seconds",
+                    "vectorized_seconds",
+                    "speedup",
+                ],
+                "properties": {
+                    "degree": {"type": "integer", "minimum": 1},
+                    "oracle_seconds": schemas.NON_NEGATIVE,
+                    "vectorized_seconds": schemas.NON_NEGATIVE,
+                    "speedup": schemas.NON_NEGATIVE,
+                },
+            },
+        },
+    },
+}
+schemas.register(KERNELS_REPORT_JSON_SCHEMA)
 
 
 def sample_rows(
@@ -120,26 +169,9 @@ def _best_of(repeats: int, run: Any) -> float:
     return best
 
 
-def validate_kernels_report(report: Dict[str, Any]) -> None:
-    """Structural validation of a ``repro.kernels/v1`` report."""
-    if report.get("schema") != KERNELS_REPORT_SCHEMA:
-        raise ValueError(
-            f"expected schema {KERNELS_REPORT_SCHEMA!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if not isinstance(report.get("passed"), bool):
-        raise ValueError("report is missing the boolean `passed` verdict")
-    entries = report.get("results")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("report carries no parity results")
-    for entry in entries:
-        for key in ("degree", "limbs", "parity"):
-            if key not in entry:
-                raise ValueError(f"parity entry is missing {key!r}: {entry}")
-    for entry in report.get("runtime", []):
-        for key in ("degree", "oracle_seconds", "vectorized_seconds", "speedup"):
-            if key not in entry:
-                raise ValueError(f"runtime entry is missing {key!r}: {entry}")
+def validate_kernels_report(report: Any) -> None:
+    """Raises ValueError on the first mismatch with the report's schema."""
+    schemas.validate(report, (KERNELS_REPORT_SCHEMA,), "invalid kernels report")
 
 
 def render_report(report: Dict[str, Any]) -> str:

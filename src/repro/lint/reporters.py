@@ -1,9 +1,9 @@
 """Reporters: human-readable text and a versioned JSON schema.
 
 The JSON payload (``schema: repro.lint/v1``) is what the CI lint job
-uploads as an artifact; :func:`validate_report` is a dependency-free
-structural validator mirroring the style of
-:func:`repro.obs.diff.validate_cost_diff`, so downstream tooling can
+uploads as an artifact.  It is declared once, in
+:data:`LINT_REPORT_SCHEMA`, and :func:`validate_report` checks it through
+the dependency-free :mod:`repro.schemas`, so downstream tooling can
 round-trip reports without jsonschema installed.
 """
 
@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
+from repro import schemas
 from repro.lint.core import Finding, LintResult
 
 __all__ = [
+    "LINT_REPORT_SCHEMA",
     "SARIF_VERSION",
     "SCHEMA_VERSION",
     "load_findings",
@@ -34,13 +36,38 @@ _SARIF_SCHEMA_URI = (
     "sarif-schema-2.1.0.json"
 )
 
-_FINDING_FIELDS = {
-    "rule": str,
-    "path": str,
-    "line": int,
-    "col": int,
-    "message": str,
+#: JSON-Schema (draft-07) of a lint report.
+LINT_REPORT_SCHEMA: Dict[str, object] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": SCHEMA_VERSION,
+    "title": "repro.lint report",
+    "type": "object",
+    "required": [
+        "schema", "rules", "files", "suppressed", "counts", "findings",
+    ],
+    "properties": {
+        "schema": {"const": SCHEMA_VERSION},
+        "rules": {"type": "array"},
+        "files": schemas.NON_NEGATIVE_INT,
+        "suppressed": schemas.NON_NEGATIVE_INT,
+        "counts": {"type": "object"},
+        "findings": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["rule", "path", "line", "col", "message"],
+                "properties": {
+                    "rule": {"type": "string"},
+                    "path": {"type": "string"},
+                    "line": {"type": "integer"},
+                    "col": {"type": "integer"},
+                    "message": {"type": "string"},
+                },
+            },
+        },
+    },
 }
+schemas.register(LINT_REPORT_SCHEMA)
 
 
 def report_dict(result: LintResult) -> Dict[str, object]:
@@ -141,33 +168,7 @@ def render_sarif(result: LintResult) -> str:
 
 def validate_report(payload: object) -> None:
     """Raise ValueError unless ``payload`` is a well-formed v1 report."""
-    if not isinstance(payload, dict):
-        raise ValueError("lint report must be a JSON object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported lint report schema {payload.get('schema')!r}; "
-            f"expected {SCHEMA_VERSION!r}"
-        )
-    for key, kind in (("rules", list), ("findings", list), ("counts", dict)):
-        if not isinstance(payload.get(key), kind):
-            raise ValueError(f"lint report field {key!r} must be a {kind.__name__}")
-    for key in ("files", "suppressed"):
-        value = payload.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(
-                f"lint report field {key!r} must be a non-negative integer"
-            )
-    findings = payload["findings"]
-    assert isinstance(findings, list)
-    for position, finding in enumerate(findings):
-        if not isinstance(finding, dict):
-            raise ValueError(f"finding #{position} must be an object")
-        for fld, kind in _FINDING_FIELDS.items():
-            value = finding.get(fld)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(
-                    f"finding #{position} field {fld!r} must be a {kind.__name__}"
-                )
+    schemas.validate(payload, (SCHEMA_VERSION,), "invalid lint report")
 
 
 def load_findings(payload: Dict[str, object]) -> List[Finding]:

@@ -22,8 +22,7 @@ Outcomes per primitive:
 The report is emitted under schema ``repro.memsim/v1.1``
 (:data:`MEMSIM_REPORT_SCHEMA`; v1.1 adds the required ``provenance``
 block, v1 reports stay readable) and :func:`validate_memsim_report`
-performs the structural checks without the ``jsonschema`` dependency,
-mirroring :mod:`repro.obs.export`.
+checks it through :mod:`repro.schemas`.
 
 Cache sizes follow :class:`repro.perf.cache.CacheModel`: **decimal**
 megabytes (``MB = 10**6``) floor-divided by ``params.limb_bytes`` — see
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import schemas
 from repro.memsim.schedules import ScheduleBuilder
 from repro.memsim.simulator import MemorySimulator, SimResult
 from repro.memsim.policies import POLICIES, make_policy
@@ -125,12 +125,10 @@ _CONFIGS = {
 }
 
 
-#: JSON-Schema (draft-07) for the memsim report; CI validates emitted
-#: reports with ``jsonschema`` where available and
-#: :func:`validate_memsim_report` performs the same checks without it.
-MEMSIM_REPORT_SCHEMA: Dict[str, Any] = {
+#: JSON-Schema (draft-07) of a v1 memsim report.
+_V1_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
+    "$id": ACCEPTED_SCHEMA_IDS[0],
     "title": "repro.memsim differential validation report",
     "type": "object",
     "required": [
@@ -143,11 +141,11 @@ MEMSIM_REPORT_SCHEMA: Dict[str, Any] = {
         "passed",
     ],
     "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {"type": "object"},
+        "schema": {"const": ACCEPTED_SCHEMA_IDS[0]},
+        "provenance": schemas.PROVENANCE,
         "params": {"type": "string"},
         "policy": {"enum": sorted(POLICIES)},
-        "tolerance": {"type": "number", "minimum": 0},
+        "tolerance": schemas.NON_NEGATIVE,
         "block_bytes": {"type": "integer", "minimum": 1},
         "passed": {"type": "boolean"},
         "runs": {
@@ -163,45 +161,60 @@ MEMSIM_REPORT_SCHEMA: Dict[str, Any] = {
                 ],
                 "properties": {
                     "label": {"type": "string"},
-                    "cache_mb": {"type": "number", "minimum": 0},
-                    "capacity_limbs": {"type": "integer", "minimum": 0},
+                    "cache_mb": schemas.NON_NEGATIVE,
+                    "capacity_limbs": schemas.NON_NEGATIVE_INT,
                     "passed": {"type": "boolean"},
                     "primitives": {
                         "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": [
-                                "primitive",
-                                "streams",
-                                "max_abs_rel_error",
-                                "pin_failures",
-                                "fit_broken",
-                                "expected_fit_break",
-                                "passed",
-                            ],
-                            "properties": {
-                                "primitive": {"type": "string"},
-                                "max_abs_rel_error": {"type": "number"},
-                                "pin_failures": {
-                                    "type": "integer",
-                                    "minimum": 0,
-                                },
-                                "fit_broken": {"type": "boolean"},
-                                "expected_fit_break": {"type": "boolean"},
-                                "reason": {"type": ["string", "null"]},
-                                "passed": {"type": "boolean"},
-                                "streams": {
-                                    "type": "object",
-                                    "required": list(STREAM_FIELDS),
-                                },
-                            },
-                        },
+                        "items": {"$ref": "#/definitions/primitive"},
                     },
                 },
             },
         },
     },
+    "definitions": {
+        "primitive": {
+            "type": "object",
+            "required": [
+                "primitive",
+                "streams",
+                "max_abs_rel_error",
+                "pin_failures",
+                "fit_broken",
+                "expected_fit_break",
+                "passed",
+            ],
+            "properties": {
+                "primitive": {"type": "string"},
+                "max_abs_rel_error": {"type": "number"},
+                "pin_failures": schemas.NON_NEGATIVE_INT,
+                "fit_broken": {"type": "boolean"},
+                "expected_fit_break": {"type": "boolean"},
+                "reason": {"type": ["string", "null"]},
+                "passed": {"type": "boolean"},
+                "streams": schemas.fields(
+                    {"$ref": "#/definitions/stream"}, *STREAM_FIELDS
+                ),
+            },
+        },
+        "stream": {
+            "type": "object",
+            "required": ["analytical", "simulated", "rel_error"],
+            "properties": {
+                "analytical": schemas.NON_NEGATIVE_INT,
+                "simulated": schemas.NON_NEGATIVE_INT,
+                "rel_error": {"type": "number"},
+            },
+        },
+    },
 }
+schemas.register(_V1_SCHEMA)
+
+#: JSON-Schema (draft-07) of the current version: v1 plus provenance.
+#: :func:`validate_memsim_report` checks it via :mod:`repro.schemas` and
+#: CI cross-checks emitted reports with ``jsonschema``.
+MEMSIM_REPORT_SCHEMA: Dict[str, Any] = schemas.with_provenance(_V1_SCHEMA, SCHEMA_ID)
+schemas.register(MEMSIM_REPORT_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -474,114 +487,6 @@ def render_report(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Dependency-free structural validation (mirrors MEMSIM_REPORT_SCHEMA)
-# ----------------------------------------------------------------------
 def validate_memsim_report(report: Any) -> None:
-    """Structural validation; raises ValueError on the first mismatch."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid memsim report: {message}")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(
-            f"schema id {report.get('schema')!r} not in "
-            f"{ACCEPTED_SCHEMA_IDS!r}"
-        )
-    if report["schema"] == SCHEMA_ID:
-        from repro.obs.events import validate_provenance
-
-        validate_provenance(report.get("provenance"), fail)
-    for key in (
-        "params",
-        "policy",
-        "tolerance",
-        "block_bytes",
-        "runs",
-        "passed",
-    ):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    if not isinstance(report["params"], str):
-        fail("params is not a string")
-    if report["policy"] not in POLICIES:
-        fail(f"unknown policy {report['policy']!r}")
-    tol = report["tolerance"]
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol < 0:
-        fail("tolerance is not a non-negative number")
-    bb = report["block_bytes"]
-    if not isinstance(bb, int) or isinstance(bb, bool) or bb < 1:
-        fail("block_bytes is not a positive integer")
-    if not isinstance(report["passed"], bool):
-        fail("passed is not a boolean")
-    if not isinstance(report["runs"], list):
-        fail("runs is not an array")
-
-    for index, run in enumerate(report["runs"]):
-        where = f"runs[{index}]"
-        if not isinstance(run, dict):
-            fail(f"{where} is not an object")
-        for key in ("label", "cache_mb", "capacity_limbs", "primitives", "passed"):
-            if key not in run:
-                fail(f"{where} missing {key!r}")
-        if not isinstance(run["label"], str):
-            fail(f"{where}.label is not a string")
-        cm = run["cache_mb"]
-        if not isinstance(cm, (int, float)) or isinstance(cm, bool) or cm < 0:
-            fail(f"{where}.cache_mb is not a non-negative number")
-        cl = run["capacity_limbs"]
-        if not isinstance(cl, int) or isinstance(cl, bool) or cl < 0:
-            fail(f"{where}.capacity_limbs is not a non-negative integer")
-        if not isinstance(run["passed"], bool):
-            fail(f"{where}.passed is not a boolean")
-        if not isinstance(run["primitives"], list):
-            fail(f"{where}.primitives is not an array")
-        for j, entry in enumerate(run["primitives"]):
-            here = f"{where}.primitives[{j}]"
-            if not isinstance(entry, dict):
-                fail(f"{here} is not an object")
-            for key in (
-                "primitive",
-                "streams",
-                "max_abs_rel_error",
-                "pin_failures",
-                "fit_broken",
-                "expected_fit_break",
-                "passed",
-            ):
-                if key not in entry:
-                    fail(f"{here} missing {key!r}")
-            if not isinstance(entry["primitive"], str):
-                fail(f"{here}.primitive is not a string")
-            mre = entry["max_abs_rel_error"]
-            if not isinstance(mre, (int, float)) or isinstance(mre, bool):
-                fail(f"{here}.max_abs_rel_error is not a number")
-            pf = entry["pin_failures"]
-            if not isinstance(pf, int) or isinstance(pf, bool) or pf < 0:
-                fail(f"{here}.pin_failures is not a non-negative integer")
-            for key in ("fit_broken", "expected_fit_break", "passed"):
-                if not isinstance(entry[key], bool):
-                    fail(f"{here}.{key} is not a boolean")
-            streams = entry["streams"]
-            if not isinstance(streams, dict):
-                fail(f"{here}.streams is not an object")
-            for field in STREAM_FIELDS:
-                stream = streams.get(field)
-                if not isinstance(stream, dict):
-                    fail(f"{here}.streams.{field} is not an object")
-                for key in ("analytical", "simulated"):
-                    value = stream.get(key)
-                    if (
-                        not isinstance(value, int)
-                        or isinstance(value, bool)
-                        or value < 0
-                    ):
-                        fail(
-                            f"{here}.streams.{field}.{key} is not a "
-                            "non-negative integer"
-                        )
-                rel = stream.get("rel_error")
-                if not isinstance(rel, (int, float)) or isinstance(rel, bool):
-                    fail(f"{here}.streams.{field}.rel_error is not a number")
+    """Raises ValueError on the first mismatch with the report's schema."""
+    schemas.validate(report, ACCEPTED_SCHEMA_IDS, "invalid memsim report")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import schemas
 from repro.obs import state as obs
 from repro.obs.baseline import (
     BaselineStore,
@@ -44,39 +45,51 @@ ACCEPTED_TRAJECTORY_SCHEMA_IDS = (
 )
 
 
-def validate_bench_trajectory(payload: Any) -> None:
-    """Structural validation of a BENCH_<name>.json trajectory document.
+#: JSON-Schema (draft-07) of a trajectory.  v1.1 adds per-entry
+#: provenance; a v1 file is upgraded in place, so its older entries keep
+#: none and one dict serves both ids.
+TRAJECTORY_SCHEMA: Dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": TRAJECTORY_SCHEMA_ID,
+    "title": "repro.obs bench trajectory",
+    "type": "object",
+    "required": ["schema", "workload", "entries"],
+    "properties": {
+        "schema": {"enum": list(ACCEPTED_TRAJECTORY_SCHEMA_IDS)},
+        "workload": {"type": "string"},
+        "entries": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": [
+                    "wall_seconds",
+                    "ops_total",
+                    "traffic_total",
+                    "regressions",
+                ],
+                "properties": {
+                    "provenance": schemas.PROVENANCE,
+                    "wall_seconds": {"type": "number"},
+                    "ops_total": {"type": "number"},
+                    "traffic_total": {"type": "number"},
+                    "regressions": {"type": "array"},
+                },
+            },
+        },
+    },
+}
+schemas.register(TRAJECTORY_SCHEMA, ACCEPTED_TRAJECTORY_SCHEMA_IDS)
 
-    Raises ValueError on mismatch; gates every trajectory write so a
-    drifting producer cannot silently ship entries nothing reads back.
+
+def validate_bench_trajectory(payload: Any) -> None:
+    """Raises ValueError on the first mismatch with TRAJECTORY_SCHEMA.
+
+    Gates every trajectory write so a drifting producer cannot silently
+    ship entries nothing reads back.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("bench trajectory must be a JSON object")
-    if payload.get("schema") not in ACCEPTED_TRAJECTORY_SCHEMA_IDS:
-        raise ValueError(
-            f"unsupported bench trajectory schema {payload.get('schema')!r}; "
-            f"accepted: {', '.join(ACCEPTED_TRAJECTORY_SCHEMA_IDS)}"
-        )
-    if not isinstance(payload.get("workload"), str):
-        raise ValueError("bench trajectory field 'workload' must be a string")
-    entries = payload.get("entries")
-    if not isinstance(entries, list):
-        raise ValueError("bench trajectory field 'entries' must be a list")
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"trajectory entry #{position} must be an object")
-        for key in ("wall_seconds", "ops_total", "traffic_total"):
-            value = entry.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(
-                    f"trajectory entry #{position} field {key!r} "
-                    "must be a number"
-                )
-        if not isinstance(entry.get("regressions"), list):
-            raise ValueError(
-                f"trajectory entry #{position} field 'regressions' "
-                "must be a list"
-            )
+    schemas.validate(
+        payload, ACCEPTED_TRAJECTORY_SCHEMA_IDS, "invalid bench trajectory"
+    )
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import schemas
 from repro.obs.export import (
     ACCEPTED_SCHEMA_IDS as ACCEPTED_RUN_REPORT_SCHEMA_IDS,
 )
@@ -46,9 +47,10 @@ STREAMS = ("ct_read", "ct_write", "key_read", "pt_read")
 _OPS_KEYS = ("mults", "adds", "total")
 _TRAFFIC_KEYS = STREAMS + ("total",)
 _STATUSES = ("matched", "renamed", "added", "removed")
+_SIDES = ("base", "other", "delta")
 
 #: JSON-Schema (draft-07) for cost_diff.json; :func:`validate_cost_diff`
-#: performs the same structural checks without the dependency.
+#: checks it via :mod:`repro.schemas`.
 COST_DIFF_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "$id": SCHEMA_ID,
@@ -69,6 +71,10 @@ COST_DIFF_SCHEMA: Dict[str, Any] = {
                 "delta": {
                     "type": "object",
                     "required": ["ops", "traffic", "arithmetic_intensity"],
+                    "properties": {
+                        "ops": {"$ref": "#/definitions/ops"},
+                        "traffic": {"$ref": "#/definitions/traffic"},
+                    },
                 },
             },
         },
@@ -85,10 +91,14 @@ COST_DIFF_SCHEMA: Dict[str, Any] = {
                     "status": {"enum": list(_STATUSES)},
                     "base_name": {"type": ["string", "null"]},
                     "other_name": {"type": ["string", "null"]},
-                    "ops": {"type": "object"},
-                    "traffic": {"type": "object"},
+                    "ops": schemas.fields(
+                        {"$ref": "#/definitions/ops"}, *_SIDES
+                    ),
+                    "traffic": schemas.fields(
+                        {"$ref": "#/definitions/traffic"}, *_SIDES
+                    ),
                     "arithmetic_intensity": {"type": "object"},
-                    "traffic_share": {"type": "number"},
+                    "traffic_share": schemas.FRACTION,
                     "duration_us": {"type": "object"},
                 },
             },
@@ -96,7 +106,14 @@ COST_DIFF_SCHEMA: Dict[str, Any] = {
         "metrics": {
             "type": "object",
             "required": ["counters"],
-            "properties": {"counters": {"type": "object"}},
+            "properties": {
+                "counters": {
+                    "type": "object",
+                    "additionalProperties": schemas.fields(
+                        {"type": "integer"}, *_SIDES
+                    ),
+                },
+            },
         },
     },
     "definitions": {
@@ -111,8 +128,32 @@ COST_DIFF_SCHEMA: Dict[str, Any] = {
                 "wall_seconds": {"type": "number"},
             },
         },
+        "ops": schemas.fields({"type": "integer"}, *_OPS_KEYS),
+        "traffic": schemas.fields({"type": "integer"}, *_TRAFFIC_KEYS),
     },
 }
+schemas.register(COST_DIFF_SCHEMA)
+
+#: JSON-Schema (draft-07) for the Chrome-trace overlay.
+DIFF_OVERLAY_SCHEMA: Dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": OVERLAY_SCHEMA_ID,
+    "title": "repro.obs cost diff overlay trace",
+    "type": "object",
+    "required": ["traceEvents", "otherData"],
+    "properties": {
+        "traceEvents": {"type": "array"},
+        "otherData": {
+            "type": "object",
+            "required": ["schema", "identical"],
+            "properties": {
+                "schema": {"const": OVERLAY_SCHEMA_ID},
+                "identical": {"type": "boolean"},
+            },
+        },
+    },
+}
+schemas.register(DIFF_OVERLAY_SCHEMA)
 
 
 class WorkloadMismatchError(ValueError):
@@ -573,20 +614,8 @@ def build_overlay_trace(
 
 
 def validate_diff_overlay(payload: Any) -> None:
-    """Structural validation of an overlay trace; raises ValueError."""
-    if not isinstance(payload, dict):
-        raise ValueError("diff overlay must be a JSON object")
-    other = payload.get("otherData")
-    if not isinstance(other, dict) or other.get("schema") != OVERLAY_SCHEMA_ID:
-        raise ValueError(
-            "diff overlay otherData.schema "
-            f"{other.get('schema') if isinstance(other, dict) else None!r} "
-            f"!= {OVERLAY_SCHEMA_ID!r}"
-        )
-    if not isinstance(other.get("identical"), bool):
-        raise ValueError("diff overlay otherData.identical must be a bool")
-    if not isinstance(payload.get("traceEvents"), list):
-        raise ValueError("diff overlay traceEvents must be a list")
+    """Raises ValueError on the first mismatch with DIFF_OVERLAY_SCHEMA."""
+    schemas.validate(payload, (OVERLAY_SCHEMA_ID,), "invalid diff overlay")
 
 
 def write_cost_diff(diff: Dict[str, Any], path: str) -> None:
@@ -595,99 +624,6 @@ def write_cost_diff(diff: Dict[str, Any], path: str) -> None:
         json.dump(diff, handle, indent=1, sort_keys=True)
 
 
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
 def validate_cost_diff(diff: Any) -> None:
-    """Structural validation; raises ValueError on mismatch.
-
-    Mirrors :data:`COST_DIFF_SCHEMA` without requiring ``jsonschema`` —
-    the same dependency-free pattern as
-    :func:`repro.obs.export.validate_run_report`.
-    """
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid cost diff: {message}")
-
-    if not isinstance(diff, dict):
-        fail("top level is not an object")
-    if diff.get("schema") != SCHEMA_ID:
-        fail(f"schema id {diff.get('schema')!r} != {SCHEMA_ID!r}")
-    for key in ("base", "other", "identical", "totals", "spans", "metrics"):
-        if key not in diff:
-            fail(f"missing required key {key!r}")
-    if not isinstance(diff["identical"], bool):
-        fail("identical is not a boolean")
-    for which in ("base", "other"):
-        summary = diff[which]
-        if not isinstance(summary, dict):
-            fail(f"{which} is not an object")
-        for key in ("command", "workload", "wall_seconds"):
-            if key not in summary:
-                fail(f"{which}.{key} missing")
-        if not isinstance(summary["workload"], str):
-            fail(f"{which}.workload is not a string")
-
-    totals = diff["totals"]
-    if not isinstance(totals, dict):
-        fail("totals is not an object")
-    for key in ("base", "other", "delta"):
-        if not isinstance(totals.get(key), dict):
-            fail(f"totals.{key} is not an object")
-    delta = totals["delta"]
-    for section, keys in (("ops", _OPS_KEYS), ("traffic", _TRAFFIC_KEYS)):
-        block = delta.get(section)
-        if not isinstance(block, dict):
-            fail(f"totals.delta.{section} is not an object")
-        for key in keys:
-            value = block.get(key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                fail(f"totals.delta.{section}.{key} is not an integer")
-    if "arithmetic_intensity" not in delta:
-        fail("totals.delta.arithmetic_intensity missing")
-
-    spans = diff["spans"]
-    if not isinstance(spans, list):
-        fail("spans is not an array")
-    for index, entry in enumerate(spans):
-        if not isinstance(entry, dict):
-            fail(f"spans[{index}] is not an object")
-        for key in (
-            "path", "status", "base_name", "other_name",
-            "ops", "traffic", "traffic_share", "duration_us",
-        ):
-            if key not in entry:
-                fail(f"spans[{index}] missing {key!r}")
-        if not isinstance(entry["path"], str):
-            fail(f"spans[{index}].path is not a string")
-        if entry["status"] not in _STATUSES:
-            fail(f"spans[{index}].status {entry['status']!r} not in {_STATUSES}")
-        for section, keys in (("ops", _OPS_KEYS), ("traffic", _TRAFFIC_KEYS)):
-            block = entry[section]
-            if not isinstance(block, dict):
-                fail(f"spans[{index}].{section} is not an object")
-            for side in ("base", "other", "delta"):
-                side_block = block.get(side)
-                if not isinstance(side_block, dict):
-                    fail(f"spans[{index}].{section}.{side} is not an object")
-                for key in keys:
-                    value = side_block.get(key)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        fail(
-                            f"spans[{index}].{section}.{side}.{key} "
-                            f"is not an integer"
-                        )
-        share = entry["traffic_share"]
-        if not isinstance(share, (int, float)) or not 0 <= share <= 1:
-            fail(f"spans[{index}].traffic_share is not in [0, 1]")
-
-    metrics = diff["metrics"]
-    if not isinstance(metrics, dict) or not isinstance(
-        metrics.get("counters"), dict
-    ):
-        fail("metrics.counters is not an object")
-    for name, row in metrics["counters"].items():
-        if not isinstance(row, dict) or not all(
-            isinstance(row.get(k), int) for k in ("base", "other", "delta")
-        ):
-            fail(f"metrics.counters[{name!r}] is malformed")
+    """Raises ValueError on the first mismatch with COST_DIFF_SCHEMA."""
+    schemas.validate(diff, (SCHEMA_ID,), "invalid cost diff")

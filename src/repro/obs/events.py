@@ -15,9 +15,8 @@ Two pieces every long-running surface shares:
   monotone sequence number, wall timestamp, type, payload) and flushed
   on write so live readers never see a torn line.
 
-The validator mirrors its siblings (:func:`repro.obs.export
-.validate_run_report`, :func:`repro.sweep.report.validate_sweep_report`):
-structural checks, no ``jsonschema`` dependency.
+The stream format is declared once, in :data:`EVENTS_SCHEMA`, and
+:func:`validate_events` checks it through :mod:`repro.schemas`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,15 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence
 
+from repro import schemas
+
 __all__ = [
+    "EVENTS_SCHEMA",
     "EVENTS_SCHEMA_ID",
     "EventLog",
     "provenance",
     "read_events",
     "validate_events",
-    "validate_provenance",
 ]
 
 EVENTS_SCHEMA_ID = "repro.obs.events/v1"
@@ -48,8 +49,25 @@ CHUNK_COMPLETE = "chunk_complete"
 SWEEP_END = "sweep_end"
 RUN_END = "run_end"
 
-#: Provenance keys that must always be present (and be strings).
-_PROVENANCE_REQUIRED = ("git_sha", "python", "platform")
+#: JSON-Schema (draft-07) of a whole stream, one item per line.
+EVENTS_SCHEMA: Dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": EVENTS_SCHEMA_ID,
+    "title": "repro.obs event stream",
+    "type": "array",
+    "items": {
+        "type": "object",
+        "required": ["schema", "seq", "ts", "type", "data"],
+        "properties": {
+            "schema": {"const": EVENTS_SCHEMA_ID},
+            "seq": schemas.NON_NEGATIVE_INT,
+            "ts": schemas.NON_NEGATIVE,
+            "type": {"type": "string", "minLength": 1},
+            "data": {"type": "object"},
+        },
+    },
+}
+schemas.register(EVENTS_SCHEMA)
 
 _git_cache: Optional[Dict[str, Any]] = None
 
@@ -124,18 +142,6 @@ def provenance(
         }
     )
     return block
-
-
-def validate_provenance(block: Any, fail: Callable[[str], None]) -> None:
-    """Structural check of one provenance block (calls ``fail`` on error)."""
-    if not isinstance(block, dict):
-        fail("provenance is not an object")
-        return
-    for key in _PROVENANCE_REQUIRED:
-        if not isinstance(block.get(key), str):
-            fail(f"provenance.{key} is not a string")
-    if not isinstance(block.get("argv"), list):
-        fail("provenance.argv is not an array")
 
 
 class EventLog:
@@ -234,30 +240,27 @@ def read_events(path: str, strict: bool = True) -> List[Dict[str, Any]]:
 
 
 def validate_events(events: Any) -> None:
-    """Structural validation of an event stream; raises ValueError."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid event stream: {message}")
-
-    if not isinstance(events, list):
-        fail("stream is not a list of events")
+    """Raises ValueError on the first mismatch with EVENTS_SCHEMA."""
+    prefix = "invalid event stream"
+    schemas.validate(events, (EVENTS_SCHEMA_ID,), prefix, "events")
+    # Invariants that tie an item to its position, which draft-07 cannot
+    # state: seq is the line number and the stream opens with run_start.
     for position, event in enumerate(events):
-        where = f"events[{position}]"
-        if not isinstance(event, dict):
-            fail(f"{where} is not an object")
-        if event.get("schema") != EVENTS_SCHEMA_ID:
-            fail(f"{where}.schema {event.get('schema')!r} != {EVENTS_SCHEMA_ID!r}")
-        if event.get("seq") != position:
-            fail(f"{where}.seq {event.get('seq')!r} is not the line position")
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-            fail(f"{where}.ts is not a non-negative number")
-        if not isinstance(event.get("type"), str) or not event["type"]:
-            fail(f"{where}.type is not a non-empty string")
-        if not isinstance(event.get("data"), dict):
-            fail(f"{where}.data is not an object")
+        if event["seq"] != position:
+            raise ValueError(
+                f"{prefix}: events[{position}].seq {event['seq']} "
+                "is not the line position"
+            )
     if events:
         first = events[0]
         if first["type"] != RUN_START:
-            fail(f"first event is {first['type']!r}, expected {RUN_START!r}")
-        validate_provenance(first["data"].get("provenance"), fail)
+            raise ValueError(
+                f"{prefix}: first event is {first['type']!r}, "
+                f"expected {RUN_START!r}"
+            )
+        schemas.check(
+            schemas.PROVENANCE,
+            first["data"].get("provenance"),
+            prefix,
+            "events[0].data.provenance",
+        )

@@ -24,8 +24,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from repro import schemas
 from repro.obs.events import provenance as build_provenance
-from repro.obs.events import validate_provenance
 from repro.perf.events import CostReport, MemTraffic, OpCount
 
 SCHEMA_ID = "repro.obs.run_report/v1.1"
@@ -67,12 +67,13 @@ def compute_span_paths(names_and_depths) -> List[str]:
         counts_stack.append({})
     return paths
 
-#: JSON-Schema (draft-07) for the run report; CI validates emitted reports
-#: against it with ``jsonschema`` and :func:`validate_run_report` performs
-#: the same structural checks without the dependency.
-RUN_REPORT_SCHEMA: Dict[str, Any] = {
+
+_TRAFFIC_KEYS = ("ct_read", "ct_write", "key_read", "pt_read", "total")
+
+#: JSON-Schema (draft-07) of a v1 run report.
+_V1_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
+    "$id": ACCEPTED_SCHEMA_IDS[0],
     "title": "repro.obs run report",
     "type": "object",
     "required": [
@@ -82,58 +83,36 @@ RUN_REPORT_SCHEMA: Dict[str, Any] = {
         "totals",
         "spans",
         "metrics",
-        "provenance",
     ],
     "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {
-            "type": "object",
-            "required": ["git_sha", "python", "platform", "argv"],
-            "properties": {
-                "git_sha": {"type": "string"},
-                "git_dirty": {"type": ["boolean", "null"]},
-                "python": {"type": "string"},
-                "numpy": {"type": ["string", "null"]},
-                "platform": {"type": "string"},
-                "argv": {"type": "array"},
-                "config_fingerprint": {"type": ["string", "null"]},
-            },
-        },
+        "schema": {"const": ACCEPTED_SCHEMA_IDS[0]},
+        "provenance": schemas.PROVENANCE,
         "resources": {
             "type": ["object", "null"],
             "properties": {
-                "peak_rss_bytes": {"type": "integer", "minimum": 0},
-                "alloc_peak_bytes": {"type": "integer", "minimum": 0},
-                "alloc_current_bytes": {"type": "integer", "minimum": 0},
-                "wall_seconds": {"type": "number", "minimum": 0},
-                "cpu_seconds": {"type": "number", "minimum": 0},
-                "gc_collections": {"type": "integer", "minimum": 0},
+                "peak_rss_bytes": schemas.NON_NEGATIVE_INT,
+                "alloc_peak_bytes": schemas.NON_NEGATIVE_INT,
+                "alloc_current_bytes": schemas.NON_NEGATIVE_INT,
+                "wall_seconds": schemas.NON_NEGATIVE,
+                "cpu_seconds": schemas.NON_NEGATIVE,
+                "gc_collections": schemas.NON_NEGATIVE_INT,
             },
         },
         "command": {"type": "string"},
         "workload": {"type": "string"},
         "params": {"type": ["string", "null"]},
         "config": {"type": ["object", "null"]},
-        "wall_seconds": {"type": "number", "minimum": 0},
+        "wall_seconds": schemas.NON_NEGATIVE,
         "totals": {
             "type": "object",
             "required": ["ops", "traffic", "arithmetic_intensity"],
             "properties": {
-                "ops": {
-                    "type": "object",
-                    "required": ["mults", "adds", "total"],
-                    "properties": {
-                        "mults": {"type": "integer", "minimum": 0},
-                        "adds": {"type": "integer", "minimum": 0},
-                        "total": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "traffic": {
-                    "type": "object",
-                    "required": [
-                        "ct_read", "ct_write", "key_read", "pt_read", "total",
-                    ],
-                },
+                "ops": schemas.fields(
+                    schemas.NON_NEGATIVE_INT, "mults", "adds", "total"
+                ),
+                "traffic": schemas.fields(
+                    schemas.NON_NEGATIVE_INT, *_TRAFFIC_KEYS
+                ),
                 "arithmetic_intensity": {"type": "number"},
             },
         },
@@ -141,26 +120,34 @@ RUN_REPORT_SCHEMA: Dict[str, Any] = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["name", "path", "depth", "start_us", "duration_us"],
+                "required": [
+                    "name", "path", "depth", "start_us", "duration_us",
+                ],
                 "properties": {
                     "name": {"type": "string"},
                     "path": {"type": "string"},
-                    "depth": {"type": "integer", "minimum": 0},
-                    "start_us": {"type": "number", "minimum": 0},
-                    "duration_us": {"type": "number", "minimum": 0},
+                    "depth": schemas.NON_NEGATIVE_INT,
+                    "start_us": schemas.NON_NEGATIVE,
+                    "duration_us": schemas.NON_NEGATIVE,
                     "ops": {"type": ["object", "null"]},
                     "traffic": {"type": ["object", "null"]},
                     "meta": {"type": "object"},
                 },
             },
         },
-        "metrics": {
-            "type": "object",
-            "required": ["counters", "gauges", "histograms"],
-        },
+        "metrics": schemas.fields(
+            {"type": "object"}, "counters", "gauges", "histograms"
+        ),
         "runtime": {"type": ["object", "null"]},
     },
 }
+schemas.register(_V1_SCHEMA)
+
+#: JSON-Schema (draft-07) of the current version: v1 plus provenance.
+#: :func:`validate_run_report` checks it via :mod:`repro.schemas` and CI
+#: cross-checks emitted reports with ``jsonschema``.
+RUN_REPORT_SCHEMA: Dict[str, Any] = schemas.with_provenance(_V1_SCHEMA, SCHEMA_ID)
+schemas.register(RUN_REPORT_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -420,70 +407,5 @@ def build_run_report(
 
 
 def validate_run_report(report: Any) -> None:
-    """Structural validation of a run report; raises ValueError on mismatch.
-
-    Mirrors :data:`RUN_REPORT_SCHEMA` without requiring ``jsonschema``.
-    Accepts every id in :data:`ACCEPTED_SCHEMA_IDS`; the ``provenance``
-    block is required from v1.1 on.
-    """
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid run report: {message}")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(f"schema id {report.get('schema')!r} not in {ACCEPTED_SCHEMA_IDS!r}")
-    if report["schema"] == SCHEMA_ID:
-        validate_provenance(report.get("provenance"), fail)
-    for key in ("command", "wall_seconds", "totals", "spans", "metrics"):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    if not isinstance(report["command"], str):
-        fail("command is not a string")
-    wall = report["wall_seconds"]
-    if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall < 0:
-        fail("wall_seconds is not a non-negative number")
-
-    totals = report["totals"]
-    if not isinstance(totals, dict):
-        fail("totals is not an object")
-    for section, keys in (
-        ("ops", ("mults", "adds", "total")),
-        ("traffic", ("ct_read", "ct_write", "key_read", "pt_read", "total")),
-    ):
-        block = totals.get(section)
-        if not isinstance(block, dict):
-            fail(f"totals.{section} is not an object")
-        for key in keys:
-            value = block.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                fail(f"totals.{section}.{key} is not a non-negative integer")
-    if "arithmetic_intensity" not in totals:
-        fail("totals.arithmetic_intensity missing")
-
-    spans = report["spans"]
-    if not isinstance(spans, list):
-        fail("spans is not an array")
-    for index, span in enumerate(spans):
-        if not isinstance(span, dict):
-            fail(f"spans[{index}] is not an object")
-        for key in ("name", "path", "depth", "start_us", "duration_us"):
-            if key not in span:
-                fail(f"spans[{index}] missing {key!r}")
-        for key in ("name", "path"):
-            if not isinstance(span[key], str):
-                fail(f"spans[{index}].{key} is not a string")
-        if not isinstance(span["depth"], int) or span["depth"] < 0:
-            fail(f"spans[{index}].depth is not a non-negative integer")
-        for key in ("start_us", "duration_us"):
-            value = span[key]
-            if not isinstance(value, (int, float)) or value < 0:
-                fail(f"spans[{index}].{key} is not a non-negative number")
-
-    metrics = report["metrics"]
-    if not isinstance(metrics, dict):
-        fail("metrics is not an object")
-    for key in ("counters", "gauges", "histograms"):
-        if not isinstance(metrics.get(key), dict):
-            fail(f"metrics.{key} is not an object")
+    """Raises ValueError on the first mismatch with the report's schema."""
+    schemas.validate(report, ACCEPTED_SCHEMA_IDS, "invalid run report")

@@ -33,10 +33,12 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro import schemas
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
+    "SNAPSHOT_SCHEMA",
     "SNAPSHOT_VERSION",
     "capture_snapshot",
     "graft_snapshot",
@@ -47,6 +49,25 @@ __all__ = [
 ]
 
 SNAPSHOT_VERSION = "repro.obs.telemetry/v1"
+
+#: JSON-Schema (draft-07) of a snapshot.  Span ``cost`` fields stay
+#: CostReport objects (snapshots travel by pickle), so spans are only
+#: required to be an array.
+SNAPSHOT_SCHEMA: Dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": SNAPSHOT_VERSION,
+    "title": "repro.obs telemetry snapshot",
+    "type": "object",
+    "required": ["version", "spans", "metrics"],
+    "properties": {
+        "version": {"const": SNAPSHOT_VERSION},
+        "spans": {"type": "array"},
+        "metrics": schemas.fields(
+            {"type": "object"}, "counters", "gauges", "histograms"
+        ),
+    },
+}
+schemas.register(SNAPSHOT_SCHEMA)
 
 #: Metric names whose values depend on scheduling (worker count, chunk
 #: boundaries, which worker saw a memo key first) rather than on what was
@@ -106,22 +127,8 @@ def capture_snapshot(tracer: Tracer, registry: MetricsRegistry) -> Dict[str, Any
 
 
 def validate_snapshot(snapshot: Any) -> None:
-    """Structural check of one snapshot; raises ValueError."""
-    if not isinstance(snapshot, dict):
-        raise ValueError("telemetry snapshot is not a dict")
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"telemetry snapshot version {snapshot.get('version')!r} "
-            f"!= {SNAPSHOT_VERSION!r}"
-        )
-    if not isinstance(snapshot.get("spans"), list):
-        raise ValueError("telemetry snapshot spans is not a list")
-    metrics = snapshot.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ValueError("telemetry snapshot metrics is not a dict")
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(metrics.get(section), dict):
-            raise ValueError(f"telemetry snapshot metrics.{section} is not a dict")
+    """Raises ValueError on the first mismatch with SNAPSHOT_SCHEMA."""
+    schemas.validate(snapshot, (SNAPSHOT_VERSION,), "invalid telemetry snapshot")
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ them one engine:
 * :func:`run_sweep` — chunked fan-out over a process pool (``jobs=1``
   stays in-process), per-worker memoization, canonical-order merge so
   output is bit-identical to serial (:mod:`repro.sweep.engine`).
-* ``repro.sweep/v1`` resumable reports + dependency-free validator
+* ``repro.sweep/v1.1`` resumable reports, validated through :mod:`repro.schemas`
   (:mod:`repro.sweep.report`).
 * Built-in evaluators for the four sweep surfaces
   (:mod:`repro.sweep.evaluators`) and named presets for the CLI

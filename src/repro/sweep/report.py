@@ -10,9 +10,9 @@ report whose fingerprint matches the spec and evaluates only the rest.
 
 Wall-clock fields are machine noise and must never be compared across
 machines; the analytical rows are exact and bit-identical for any
-``--jobs``.  :func:`validate_sweep_report` performs the structural
-checks without the ``jsonschema`` dependency, mirroring
-:mod:`repro.obs.export` and :mod:`repro.memsim.validate`.
+``--jobs``.  Each version is declared once (:data:`SWEEP_REPORT_SCHEMA`
+and its v1 predecessor) and :func:`validate_sweep_report` checks it
+through :mod:`repro.schemas`.
 
 Schema history: v1.1 adds a required ``provenance`` block
 (:func:`repro.obs.events.provenance`, with the spec fingerprint as its
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
+from repro import schemas
 from repro.sweep.engine import SweepOutcome
 
 __all__ = [
@@ -42,12 +43,10 @@ SCHEMA_ID = "repro.sweep/v1.1"
 #: Schema ids accepted on load/resume; new reports always use SCHEMA_ID.
 ACCEPTED_SCHEMA_IDS = ("repro.sweep/v1", SCHEMA_ID)
 
-#: JSON-Schema (draft-07); CI validates with ``jsonschema`` where
-#: available and :func:`validate_sweep_report` mirrors it without the
-#: dependency.
-SWEEP_REPORT_SCHEMA: Dict[str, Any] = {
+#: JSON-Schema (draft-07) of a v1 report.
+_V1_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
+    "$id": ACCEPTED_SCHEMA_IDS[0],
     "title": "repro.sweep run report",
     "type": "object",
     "required": [
@@ -66,19 +65,19 @@ SWEEP_REPORT_SCHEMA: Dict[str, Any] = {
         "points",
     ],
     "properties": {
-        "schema": {"enum": list(ACCEPTED_SCHEMA_IDS)},
-        "provenance": {"type": "object"},
+        "schema": {"const": ACCEPTED_SCHEMA_IDS[0]},
+        "provenance": schemas.PROVENANCE,
         "workers": {
             "type": "array",
             "items": {
                 "type": "object",
                 "required": ["pid", "chunks"],
                 "properties": {
-                    "pid": {"type": "integer", "minimum": 0},
-                    "chunks": {"type": "integer", "minimum": 0},
-                    "busy_seconds": {"type": "number", "minimum": 0},
-                    "cpu_seconds": {"type": "number", "minimum": 0},
-                    "peak_rss_bytes": {"type": "integer", "minimum": 0},
+                    "pid": schemas.NON_NEGATIVE_INT,
+                    "chunks": schemas.NON_NEGATIVE_INT,
+                    "busy_seconds": schemas.NON_NEGATIVE,
+                    "cpu_seconds": schemas.NON_NEGATIVE,
+                    "peak_rss_bytes": schemas.NON_NEGATIVE_INT,
                 },
             },
         },
@@ -97,18 +96,11 @@ SWEEP_REPORT_SCHEMA: Dict[str, Any] = {
             },
         },
         "jobs": {"type": "integer", "minimum": 1},
-        "chunks": {"type": "integer", "minimum": 0},
-        "reused": {"type": "integer", "minimum": 0},
-        "memo": {
-            "type": "object",
-            "required": ["hits", "misses"],
-            "properties": {
-                "hits": {"type": "integer", "minimum": 0},
-                "misses": {"type": "integer", "minimum": 0},
-            },
-        },
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "worker_utilisation": {"type": "number", "minimum": 0, "maximum": 1},
+        "chunks": schemas.NON_NEGATIVE_INT,
+        "reused": schemas.NON_NEGATIVE_INT,
+        "memo": schemas.fields(schemas.NON_NEGATIVE_INT, "hits", "misses"),
+        "wall_seconds": schemas.NON_NEGATIVE,
+        "worker_utilisation": schemas.FRACTION,
         "complete": {"type": "boolean"},
         "points": {
             "type": "array",
@@ -116,7 +108,7 @@ SWEEP_REPORT_SCHEMA: Dict[str, Any] = {
                 "type": "object",
                 "required": ["index", "key", "row"],
                 "properties": {
-                    "index": {"type": "integer", "minimum": 0},
+                    "index": schemas.NON_NEGATIVE_INT,
                     "key": {"type": "object"},
                     "row": {"type": "object"},
                 },
@@ -124,6 +116,13 @@ SWEEP_REPORT_SCHEMA: Dict[str, Any] = {
         },
     },
 }
+schemas.register(_V1_SCHEMA)
+
+#: JSON-Schema (draft-07) of the current version: v1 plus provenance.
+#: :func:`validate_sweep_report` checks it via :mod:`repro.schemas` and
+#: CI cross-checks it with ``jsonschema``.
+SWEEP_REPORT_SCHEMA: Dict[str, Any] = schemas.with_provenance(_V1_SCHEMA, SCHEMA_ID)
+schemas.register(SWEEP_REPORT_SCHEMA)
 
 
 def build_sweep_report(outcome: SweepOutcome) -> Dict[str, Any]:
@@ -182,104 +181,17 @@ def load_sweep_report(path: str) -> Optional[Dict[str, Any]]:
     return report
 
 
-# ----------------------------------------------------------------------
-# Dependency-free structural validation (mirrors SWEEP_REPORT_SCHEMA)
-# ----------------------------------------------------------------------
 def validate_sweep_report(report: Any) -> None:
-    """Structural validation; raises ValueError on the first mismatch."""
-
-    def fail(message: str) -> None:
-        raise ValueError(f"invalid sweep report: {message}")
-
-    def require_int(value: Any, label: str, minimum: int = 0) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            fail(f"{label} is not an integer >= {minimum}")
-
-    def require_number(value: Any, label: str) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-            fail(f"{label} is not a non-negative number")
-
-    if not isinstance(report, dict):
-        fail("top level is not an object")
-    if report.get("schema") not in ACCEPTED_SCHEMA_IDS:
-        fail(
-            f"schema id {report.get('schema')!r} not in "
-            f"{ACCEPTED_SCHEMA_IDS!r}"
-        )
-    if report["schema"] == SCHEMA_ID:
-        from repro.obs.events import validate_provenance
-
-        validate_provenance(report.get("provenance"), fail)
-        workers = report.get("workers", [])
-        if not isinstance(workers, list):
-            fail("workers is not an array")
-        for index, worker in enumerate(workers):
-            if not isinstance(worker, dict) or not isinstance(
-                worker.get("pid"), int
-            ):
-                fail(f"workers[{index}] is not an object with an integer pid")
-    for key in (
-        "sweep",
-        "evaluator",
-        "fingerprint",
-        "axes",
-        "jobs",
-        "chunks",
-        "reused",
-        "memo",
-        "wall_seconds",
-        "worker_utilisation",
-        "complete",
-        "points",
-    ):
-        if key not in report:
-            fail(f"missing required key {key!r}")
-    for key in ("sweep", "evaluator", "fingerprint"):
-        if not isinstance(report[key], str):
-            fail(f"{key} is not a string")
-    fingerprint = report["fingerprint"]
-    if len(fingerprint) != 64 or any(c not in "0123456789abcdef" for c in fingerprint):
-        fail("fingerprint is not a 64-hex-digit SHA-256")
-    if not isinstance(report["axes"], list):
-        fail("axes is not an array")
-    for index, axis in enumerate(report["axes"]):
-        where = f"axes[{index}]"
-        if not isinstance(axis, dict):
-            fail(f"{where} is not an object")
-        if not isinstance(axis.get("name"), str):
-            fail(f"{where}.name is not a string")
-        if not isinstance(axis.get("values"), list):
-            fail(f"{where}.values is not an array")
-    require_int(report["jobs"], "jobs", minimum=1)
-    require_int(report["chunks"], "chunks")
-    require_int(report["reused"], "reused")
-    memo = report["memo"]
-    if not isinstance(memo, dict):
-        fail("memo is not an object")
-    require_int(memo.get("hits"), "memo.hits")
-    require_int(memo.get("misses"), "memo.misses")
-    require_number(report["wall_seconds"], "wall_seconds")
-    require_number(report["worker_utilisation"], "worker_utilisation")
-    if report["worker_utilisation"] > 1:
-        fail("worker_utilisation exceeds 1")
-    if not isinstance(report["complete"], bool):
-        fail("complete is not a boolean")
-    points = report["points"]
-    if not isinstance(points, list):
-        fail("points is not an array")
+    """Raises ValueError on the first mismatch with the report's schema."""
+    prefix = "invalid sweep report"
+    schemas.validate(report, ACCEPTED_SCHEMA_IDS, prefix)
+    # Uniqueness across array items is not expressible in the draft-07
+    # subset (uniqueItems compares whole items, not one field of each).
     seen: set = set()
-    for position, entry in enumerate(points):
-        where = f"points[{position}]"
-        if not isinstance(entry, dict):
-            fail(f"{where} is not an object")
-        for key in ("index", "key", "row"):
-            if key not in entry:
-                fail(f"{where} missing {key!r}")
-        require_int(entry["index"], f"{where}.index")
+    for position, entry in enumerate(report["points"]):
         if entry["index"] in seen:
-            fail(f"{where}.index {entry['index']} is duplicated")
+            raise ValueError(
+                f"{prefix}: points[{position}].index {entry['index']} "
+                "is duplicated"
+            )
         seen.add(entry["index"])
-        if not isinstance(entry["key"], dict):
-            fail(f"{where}.key is not an object")
-        if not isinstance(entry["row"], dict):
-            fail(f"{where}.row is not an object")

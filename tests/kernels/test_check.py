@@ -58,6 +58,17 @@ class TestValidateAndRender:
         with pytest.raises(ValueError):
             validate_kernels_report(report)
 
+    def test_validator_rejects_non_object_report(self):
+        with pytest.raises(ValueError, match="top level is not an object"):
+            validate_kernels_report([])
+
+    @pytest.mark.parametrize("section", ["results", "runtime"])
+    def test_validator_rejects_non_object_entries(self, section):
+        report = run_check(degrees=(64,), limbs=1, repeats=1)
+        report[section][0] = None
+        with pytest.raises(ValueError, match=rf"{section}\[0\] is not an object"):
+            validate_kernels_report(report)
+
     def test_render_mentions_every_degree_and_verdict(self):
         report = run_check(degrees=(64,), limbs=2, repeats=1)
         text = render_report(report)

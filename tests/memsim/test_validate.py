@@ -191,3 +191,12 @@ class TestReportValidator:
     def test_rejects_non_dict(self):
         with pytest.raises(ValueError):
             validate_memsim_report([])
+
+    @pytest.mark.parametrize("policy", [[], {}])
+    def test_rejects_unhashable_policy(self, policy):
+        report = run_validation(
+            runs=[("Baseline", MADConfig.none(), 2.0)], primitives=["decomp"]
+        )
+        report["policy"] = policy
+        with pytest.raises(ValueError, match="policy"):
+            validate_memsim_report(report)

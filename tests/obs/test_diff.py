@@ -310,6 +310,26 @@ class TestCostDiffDocument:
         with pytest.raises(ValueError, match="invalid cost diff"):
             validate_cost_diff(diff)
 
+    def test_validator_rejects_bool_traffic_share(self):
+        diff = diff_run_reports(
+            traced_bootstrap_report(MADConfig.none()),
+            traced_bootstrap_report(MADConfig.all()),
+        )
+        diff["spans"][0]["traffic_share"] = True
+        with pytest.raises(ValueError, match=r"spans\[0\]\.traffic_share"):
+            validate_cost_diff(diff)
+
+    @pytest.mark.parametrize("side", ["base", "other", "delta"])
+    def test_validator_rejects_bool_counter(self, side):
+        diff = diff_run_reports(
+            traced_bootstrap_report(MADConfig.none()),
+            traced_bootstrap_report(MADConfig.all()),
+        )
+        row = {"base": 1, "other": 1, "delta": 0, side: True}
+        diff["metrics"]["counters"]["ntt.calls"] = row
+        with pytest.raises(ValueError, match=rf"counters\.ntt\.calls\.{side}"):
+            validate_cost_diff(diff)
+
 
 class TestRendering:
     def test_attribution_table_contents(self):

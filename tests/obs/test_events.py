@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import schemas
 from repro.obs.events import (
     CHUNK_COMPLETE,
     EVENTS_SCHEMA_ID,
@@ -15,18 +16,17 @@ from repro.obs.events import (
     provenance,
     read_events,
     validate_events,
-    validate_provenance,
 )
 
 
-def _fail(message):
-    raise ValueError(message)
+def validate_provenance(block):
+    schemas.check(schemas.PROVENANCE, block, "invalid provenance")
 
 
 class TestProvenance:
     def test_block_shape(self):
         block = provenance(argv=["sweep", "table5"], config_fingerprint="ab" * 32)
-        validate_provenance(block, _fail)
+        validate_provenance(block)
         assert block["argv"] == ["sweep", "table5"]
         assert block["config_fingerprint"] == "ab" * 32
         assert isinstance(block["git_sha"], str) and block["git_sha"]
@@ -41,11 +41,11 @@ class TestProvenance:
         block = provenance()
         del block["git_sha"]
         with pytest.raises(ValueError):
-            validate_provenance(block, _fail)
+            validate_provenance(block)
 
     def test_validator_rejects_non_dict(self):
         with pytest.raises(ValueError):
-            validate_provenance(None, _fail)
+            validate_provenance(None)
 
 
 class TestEventLog:

@@ -191,6 +191,14 @@ class TestRunReport:
         with pytest.raises(ValueError):
             validate_run_report([])
 
+    @pytest.mark.parametrize("key", ["depth", "start_us", "duration_us"])
+    def test_rejects_bool_span_numbers(self, traced_bootstrap, key):
+        tracer, registry, _ = traced_bootstrap
+        report = build_run_report(tracer, registry, command="trace bootstrap")
+        report["spans"][0][key] = True
+        with pytest.raises(ValueError, match=rf"spans\[0\]\.{key} is not"):
+            validate_run_report(report)
+
     def test_matches_jsonschema_if_available(self, traced_bootstrap):
         jsonschema = pytest.importorskip("jsonschema")
         tracer, registry, _ = traced_bootstrap

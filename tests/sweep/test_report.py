@@ -67,12 +67,12 @@ class TestValidator:
         [
             (lambda r: r.update(schema="other/v9"), "schema id"),
             (lambda r: r.pop("points"), "missing required key"),
-            (lambda r: r.update(fingerprint="zz"), "64-hex"),
+            (lambda r: r.update(fingerprint="zz"), "fingerprint"),
             (lambda r: r.update(jobs=0), "jobs"),
             (lambda r: r.update(memo={"hits": -1, "misses": 0}), "memo.hits"),
             (lambda r: r.update(worker_utilisation=1.5), "exceeds 1"),
             (lambda r: r.update(complete="yes"), "boolean"),
-            (lambda r: r["points"][0].pop("row"), "missing 'row'"),
+            (lambda r: r["points"][0].pop("row"), "missing required key 'row'"),
             (
                 lambda r: r["points"].__setitem__(1, dict(r["points"][0])),
                 "duplicated",
